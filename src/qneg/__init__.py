@@ -31,6 +31,7 @@ from .laurent import (
     Q,
     ZERO,
     CyclotomicModulus,
+    InvariantError,
     LaurentPoly,
     congruent_mod,
     cyclotomic,
@@ -62,6 +63,7 @@ from .qseries import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "InvariantError",
     "LaurentPoly",
     "CyclotomicModulus",
     "ZERO",

@@ -3,12 +3,14 @@
 Allowing negative entries turns the classical sum over k = 0..n into a sum
 over all integers whose support stays finite, extends A to negative indices
 with the symmetry A(-n) = A(n-1), and makes the Beukers and Coster
-supercongruences two faces of one statement.
+supercongruences two faces of one statement.  Values come from Apery's
+three-term recurrence; the sum is kept as an independent oracle.
 """
 
 from __future__ import annotations
 
 from .congruence import is_prime
+from .laurent import InvariantError
 from .qbinom import binom
 
 __all__ = ["apery", "verify_apery_symmetry", "verify_apery_congruence"]
@@ -23,22 +25,47 @@ def _term(n: int, k: int) -> int:
 def apery(n: int) -> int:
     """A(n) = sum over all integers k of binom(n,k)^2 * binom(n+k,k)^2.
 
-    The support is k in [0, n] for n >= 0 and k in [0, -n-1] for n < 0;
-    two extra terms beyond each end are checked to vanish before trusting
-    the window.
+    Computed by Apery's three-term recurrence
+
+        m^3 A(m) = (34m^3 - 51m^2 + 27m - 5) A(m-1) - (m-1)^3 A(m-2),
+
+    with every division by m^3 checked to be exact.  A negative index goes
+    through the symmetry A(-n) = A(n-1).  The defining sum is kept as
+    `_apery_sum`, the oracle that `verify_apery_symmetry` checks against.
 
     >>> [apery(n) for n in (0, 1, 2, 3)]
     [1, 5, 73, 1445]
     """
+    if n < 0:
+        n = -n - 1
+    prev, cur = 1, 1  # A(-1) = A(0) = 1; A(-1) gets weight 0 at m = 1
+    for m in range(1, n + 1):
+        numer = (((34 * m - 51) * m + 27) * m - 5) * cur - (m - 1) ** 3 * prev
+        nxt, rem = divmod(numer, m**3)
+        if rem:
+            raise InvariantError(f"Apery recurrence left a remainder at m={m}")
+        prev, cur = cur, nxt
+    return cur
+
+
+def _apery_sum(n: int) -> int:
+    """A(n) by its definition, the sum of binomials with negative entries.
+
+    The support is k in [0, n] for n >= 0 and k in [0, -n-1] for n < 0;
+    two extra terms beyond each end are checked to vanish before trusting
+    the window.
+    """
     hi = n if n >= 0 else -n - 1
     for k in (-2, -1, hi + 1, hi + 2):
-        assert _term(n, k) == 0, f"nonzero Apery term outside window at k={k}"
+        if _term(n, k):
+            raise InvariantError(f"nonzero Apery term outside window at k={k}")
     return sum(_term(n, k) for k in range(hi + 1))
 
 
 def verify_apery_symmetry(n: int) -> bool:
-    """Check the reflection symmetry A(-n) = A(n-1)."""
-    return apery(-n) == apery(n - 1)
+    """Check the reflection symmetry A(-n) = A(n-1): the defining sum at -n
+    against the recurrence at n-1, two independent computations."""
+    return _apery_sum(-n) == apery(n - 1)
 
 
 def verify_apery_congruence(p: int, r: int, m: int, variant: str) -> bool:

@@ -11,6 +11,7 @@ import dataclasses
 from typing import Iterator, Mapping, Sequence
 
 __all__ = [
+    "InvariantError",
     "LaurentPoly",
     "CyclotomicModulus",
     "ZERO",
@@ -21,6 +22,12 @@ __all__ = [
     "divides",
     "congruent_mod",
 ]
+
+
+class InvariantError(ArithmeticError):
+    """An exact computation broke an identity that the mathematics guarantees,
+    such as a division that must leave no remainder.  It signals a bug, never
+    bad input, and unlike ``assert`` it is not removed under ``python -O``."""
 
 
 @dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
@@ -335,7 +342,8 @@ def cyclotomic_poly(m: int) -> LaurentPoly:
             if m % d == 0:
                 den = den * cyclotomic_poly(d)
         quot, rem = _divmod_monic(num, den.coeffs)
-        assert not any(rem), f"cyclotomic division left a remainder at m={m}"
+        if any(rem):
+            raise InvariantError(f"cyclotomic division left a remainder at m={m}")
         phi = LaurentPoly(0, quot)
     _cyclotomic_cache[m] = phi
     return phi

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
+import operator
 
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, InvariantError, LaurentPoly
 
 __all__ = [
     "Region",
@@ -58,7 +60,8 @@ def _classical_coeffs(n: int, k: int) -> list[int]:
 
     Built as the product over i = 1..k of (1 - q^(n-k+i)) / (1 - q^i) with the
     division performed incrementally: every partial quotient is itself a
-    Gaussian polynomial, so each division is exact (asserted).
+    Gaussian polynomial, so each division is exact (checked).  Both steps are
+    whole-list operations that run in C, with no Python loop per coefficient.
     """
     k = min(k, n - k)
     coeffs = [1]
@@ -66,18 +69,16 @@ def _classical_coeffs(n: int, k: int) -> list[int]:
         top = n - k + i
         # multiply by (1 - q^top)
         prod = coeffs + [0] * top
-        for j in range(len(coeffs)):
-            prod[j + top] -= coeffs[j]
-        # divide by (1 - q^i): ascending synthetic division g[j] = f[j] + g[j-i]
+        prod[top:] = map(operator.sub, prod[top:], coeffs)
+        # divide by (1 - q^i): the ascending recurrence g[j] = f[j] + g[j-i]
+        # is a running sum along each residue class of j mod i
+        for r in range(i):
+            prod[r::i] = itertools.accumulate(prod[r::i])
         width = len(prod) - i
-        out = [0] * width
-        for j in range(len(prod)):
-            c = prod[j] + (out[j - i] if j >= i else 0)
-            if j < width:
-                out[j] = c
-            else:
-                assert c == 0, "Gaussian binomial division left a remainder"
-        coeffs = out
+        if any(prod[width:]):
+            raise InvariantError("Gaussian binomial division left a remainder")
+        del prod[width:]
+        coeffs = prod
     return coeffs
 
 
@@ -107,11 +108,13 @@ def qbinom(n: int, k: int) -> LaurentPoly:
         return LaurentPoly(0, _classical_coeffs(n, k))
     if reg is Region.NEGATIVE_N:
         doubled = k * (2 * n - k + 1)
-        assert doubled % 2 == 0
+        if doubled % 2:
+            raise InvariantError(f"odd q-shift exponent at ({n}, {k})")
         sign = -1 if k % 2 else 1
         return (qbinom(k - n - 1, k) * sign).shift(doubled // 2)
     doubled = n * (n + 1) - k * (k + 1)
-    assert doubled % 2 == 0
+    if doubled % 2:
+        raise InvariantError(f"odd q-shift exponent at ({n}, {k})")
     sign = -1 if (n - k) % 2 else 1
     return (qbinom(-k - 1, -n - 1) * sign).shift(doubled // 2)
 
@@ -146,7 +149,8 @@ def _pascal_nonnegative(n: int, k: int) -> LaurentPoly:
         for j in range(1, m + 1):
             above = row[j] if j < m else ZERO
             new.append(row[j - 1] + above.shift(j))
-        assert new[m] == ONE, "derived corner disagrees with the C(n,n)=1 seed"
+        if new[m] != ONE:
+            raise InvariantError("derived corner disagrees with the C(n,n)=1 seed")
         row = new
     return row[k]
 
@@ -168,9 +172,9 @@ def _pascal_negative(n: int, k: int) -> LaurentPoly:
                 cur[0] = ONE
             else:
                 cur[j] = (above[j] - cur[j - 1]).shift(-j)
-        if m < -1:
+        if m < -1 and cur[0] != ONE:
             # the C(n, 0) = 1 seed family is redundant but must stay consistent
-            assert cur[0] == ONE, "derived C(n,0) disagrees with the seed"
+            raise InvariantError("derived C(n,0) disagrees with the seed")
         for j in range(m - 1, lo - 1, -1):
             cur[j] = above[j + 1] - cur[j + 1].shift(j + 1)
         above = cur

@@ -1,5 +1,6 @@
 """Apery numbers over all integer indices and their supercongruences."""
 
+import importlib
 import math
 
 import pytest
@@ -34,8 +35,9 @@ def test_apery_small_values():
 
 
 def test_apery_against_wide_window_oracle():
-    for n in range(-12, 13):
+    for n in range(-200, 201):
         assert apery(n) == apery_wide_window(n), n
+    assert apery(1000) == apery_wide_window(1000)
 
 
 def test_apery_positive():
@@ -52,6 +54,21 @@ def test_symmetry_examples():
 def test_symmetry_range():
     for n in range(0, 26):
         assert verify_apery_symmetry(n), n
+
+
+def test_symmetry_checks_the_sum_oracle(monkeypatch):
+    # A(-n) must come from the defining sum, not from the recurrence that
+    # computes A(n-1); otherwise the check could never fail.
+    calls = []
+
+    def off_by_one(n):
+        calls.append(n)
+        return apery(n) + 1
+
+    # the package rebinds the name `qneg.apery` to the function
+    monkeypatch.setattr(importlib.import_module("qneg.apery"), "_apery_sum", off_by_one)
+    assert not verify_apery_symmetry(7)
+    assert calls == [-7]
 
 
 def test_congruences():

@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,28 @@ def test_table_json_round_trip(capsys):
     for cell in body["cells"]:
         value = LaurentPoly.from_json_dict(cell["value"])
         assert value == qbinom(cell["n"], cell["k"])
+
+
+def test_table_into_closed_pipe_exits_zero_silently():
+    # like `qneg table ... | head -1`: the reader leaves after one line of
+    # about 700 kB, far more than a pipe buffers
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qneg", "table", "--n", "-20..20", "--k", "-20..20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"n\\k\t")
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+    assert code == 0
 
 
 def test_table_malformed_range_is_usage_error(capsys):

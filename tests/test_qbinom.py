@@ -1,11 +1,14 @@
 """q-binomial coefficients: regions, closed forms, Pascal strategy, forms."""
 
+import functools
 import itertools
 import math
+import random
 
 from qneg.laurent import ONE, ZERO, LaurentPoly
 from qneg.qbinom import (
     Region,
+    _classical_coeffs,
     binom,
     degree_profile,
     qbinom,
@@ -137,6 +140,66 @@ def test_cache_safe_under_concurrent_fill():
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
+
+
+# -- classical kernel -----------------------------------------------------------
+
+
+def classical_coeffs_loop(n, k):
+    """The per-coefficient kernel the C-level one replaced, kept verbatim as
+    an oracle: the same product and incremental division, one Python
+    statement per coefficient."""
+    k = min(k, n - k)
+    coeffs = [1]
+    for i in range(1, k + 1):
+        top = n - k + i
+        # multiply by (1 - q^top)
+        prod = coeffs + [0] * top
+        for j in range(len(coeffs)):
+            prod[j + top] -= coeffs[j]
+        # divide by (1 - q^i): ascending synthetic division g[j] = f[j] + g[j-i]
+        width = len(prod) - i
+        out = [0] * width
+        for j in range(len(prod)):
+            c = prod[j] + (out[j - i] if j >= i else 0)
+            if j < width:
+                out[j] = c
+            else:
+                assert c == 0, "Gaussian binomial division left a remainder"
+        coeffs = out
+    return coeffs
+
+
+def test_kernel_matches_loop_oracle_exhaustively():
+    for n in range(61):
+        for k in range(n + 1):
+            assert _classical_coeffs(n, k) == classical_coeffs_loop(n, k), (n, k)
+
+
+def test_kernel_matches_loop_oracle_on_random_pairs():
+    rng = random.Random(20180207)
+    for _ in range(10):
+        n = rng.randint(61, 150)
+        k = rng.randint(0, n)
+        assert _classical_coeffs(n, k) == classical_coeffs_loop(n, k), (n, k)
+
+
+def test_kernel_properties_on_large_random_pairs():
+    # palindromic, sums to C(n, k) at q = 1, and at q = 2 equals the product
+    # of (2^(n-k+i) - 1) / (2^i - 1) over i = 1..k
+    rng = random.Random(1802)
+    for _ in range(4):
+        n = rng.randint(151, 300)
+        k = rng.randint(0, n)
+        coeffs = _classical_coeffs(n, k)
+        assert coeffs == coeffs[::-1], (n, k)
+        assert sum(coeffs) == math.comb(n, k), (n, k)
+        at_two = functools.reduce(lambda acc, c: 2 * acc + c, reversed(coeffs), 0)
+        num = den = 1
+        for i in range(1, k + 1):
+            num *= 2 ** (n - k + i) - 1
+            den *= 2**i - 1
+        assert at_two * den == num, (n, k)
 
 
 # -- integer specialization -----------------------------------------------------

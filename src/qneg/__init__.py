@@ -52,7 +52,6 @@ from .qseries import (
     Direction,
     NormalSeries,
     PowerSeriesInX,
-    extract_coeff,
     freshman_congruence,
     pochhammer_expansion,
     power_xy,
@@ -91,7 +90,6 @@ __all__ = [
     "PowerSeriesInX",
     "series_mul",
     "power_xy",
-    "extract_coeff",
     "pochhammer_expansion",
     "verify_chu_vandermonde",
     "freshman_congruence",

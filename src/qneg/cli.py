@@ -37,6 +37,17 @@ EXPAND_MODES = (
     "pochhammer",
 )
 
+# qbinom(n, k) has k(n - k) + 1 coefficients for 0 <= k <= n, so a careless
+# argument can ask for billions.  The limit admits README's 81 x 81 table
+# (859,361 coefficients).  One value of a quarter of it, qbinom(1000, 500),
+# takes about 25 s on a 2-core x86-64 machine.
+MAX_COEFFICIENTS = 1_000_000
+SIZE_NOTE = (
+    f"A request whose values hold more than {MAX_COEFFICIENTS:,} coefficients "
+    "in all (a zero value counts as one; with --q1, a value counts as a bound "
+    "on its decimal digits) is refused with exit status 2."
+)
+
 Outcome = bool | str  # True, False, or "skip"
 Case = tuple[str, Outcome]
 
@@ -239,9 +250,51 @@ def _emit(ns, text: str, body: dict) -> None:
         print(text)
 
 
+def _value_size(n: int, k: int, q1: bool) -> int:
+    """The coefficients of qbinom(n, k), from degree_profile, or with q1 an
+    upper bound on the decimal digits of binom(n, k); a zero counts as one."""
+    profile = degree_profile(n, k)
+    if profile is None:
+        return 1
+    if not q1:
+        return profile[1] - profile[0] + 1
+    # |binom(n, k)| = comb(top, j) after the reflections in qbinom.binom, and
+    # comb(top, j) <= min(2**top, (e * top / j)**j) < 2**bits
+    top, j = (n, k) if n >= 0 else (k - n - 1, k) if k >= 0 else (-k - 1, -n - 1)
+    j = min(j, top - j)
+    bits = min(top, j * (top.bit_length() - j.bit_length() + 3))
+    return bits * 30103 // 100000 + 1
+
+
+def _check_size(n_values: range, k_values: range, q1: bool) -> None:
+    """Refuse, as a usage error, a grid whose values hold more than
+    MAX_COEFFICIENTS coefficients, or with q1 digits, in all."""
+    total = len(n_values) * len(k_values)  # each value counts one or more
+    if total <= MAX_COEFFICIENTS:
+        total = sum(_value_size(n, k, q1) for n in n_values for k in k_values)
+    if total > MAX_COEFFICIENTS:
+        unit = "digits" if q1 else "coefficients"
+        raise ValueError(
+            f"the result is too large ({total:,} {unit} by estimate; "
+            f"the limit is {MAX_COEFFICIENTS:,})"
+        )
+
+
+def _q1_text(n: int, k: int) -> str:
+    value = binom(n, k)
+    try:
+        return str(value)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise ValueError(
+            f"binom({n}, {k}) has more than {sys.get_int_max_str_digits():,} "
+            "digits, the most this Python writes out (see PYTHONINTMAXSTRDIGITS)"
+        ) from None
+
+
 def _cmd_eval(ns) -> int:
+    _check_size(range(ns.n, ns.n + 1), range(ns.k, ns.k + 1), ns.q1)
     if ns.q1:
-        value = str(binom(ns.n, ns.k))
+        value = _q1_text(ns.n, ns.k)
     else:
         value = qbinom(ns.n, ns.k)
     _emit(
@@ -261,10 +314,11 @@ def _cmd_eval(ns) -> int:
 def _cmd_table(ns) -> int:
     n_lo, n_hi = ns.n
     k_lo, k_hi = ns.k
+    _check_size(range(n_lo, n_hi + 1), range(k_lo, k_hi + 1), ns.q1)
     cells = []
     for n in range(n_lo, n_hi + 1):
         for k in range(k_lo, k_hi + 1):
-            value = str(binom(n, k)) if ns.q1 else qbinom(n, k)
+            value = _q1_text(n, k) if ns.q1 else qbinom(n, k)
             cells.append((n, k, value))
     if ns.format == "json":
         body = {
@@ -407,13 +461,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate one coefficient")
+    p_eval = sub.add_parser(
+        "eval", parents=[common], help="evaluate one coefficient", epilog=SIZE_NOTE
+    )
     p_eval.add_argument("--n", type=int, required=True)
     p_eval.add_argument("--k", type=int, required=True)
     p_eval.add_argument("--q1", action="store_true", help="evaluate at q = 1")
     p_eval.set_defaults(handler=_cmd_eval)
 
-    p_table = sub.add_parser("table", parents=[common], help="emit a grid of values")
+    p_table = sub.add_parser(
+        "table", parents=[common], help="emit a grid of values", epilog=SIZE_NOTE
+    )
     p_table.add_argument("--n", type=parse_range, required=True, metavar="LO..HI")
     p_table.add_argument("--k", type=parse_range, required=True, metavar="LO..HI")
     p_table.add_argument("--q1", action="store_true", help="evaluate at q = 1")

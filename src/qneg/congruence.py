@@ -10,6 +10,7 @@ primality required.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from .laurent import LaurentPoly, congruent_mod, cyclotomic
 from .qbinom import binom, qbinom
@@ -84,8 +85,10 @@ def padic_digits(n: int, base: int) -> PadicDigits:
     return PadicDigits(base, tuple(digits), 0 if n == 0 else base - 1)
 
 
+@functools.lru_cache(maxsize=4096)
 def is_prime(p: int) -> bool:
-    """Deterministic trial division; ample for desk-scale moduli."""
+    """Deterministic trial division; ample for desk-scale moduli.  Sweeps ask
+    about the same few moduli many times, so answers are cached."""
     if p < 2:
         return False
     if p % 2 == 0:

@@ -8,6 +8,8 @@ which is what "congruent mod Phi_m(q)" means for Laurent polynomials.
 from __future__ import annotations
 
 import dataclasses
+import operator
+from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
 __all__ = [
@@ -169,13 +171,11 @@ class LaurentPoly:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return ZERO
-        # Schoolbook convolution; valuations and degrees add.
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+        a, b = self.coeffs, other.coeffs
+        if min(len(a), len(b)) < KRONECKER_MIN_LEN:
+            out = _schoolbook_mul(a, b)
+        else:
+            out = _kronecker_mul(a, b)
         return LaurentPoly(self.val + other.val, out)
 
     __rmul__ = __mul__
@@ -270,6 +270,56 @@ ZERO = LaurentPoly(0, ())
 ONE = LaurentPoly(0, (1,))
 Q = LaurentPoly(1, (1,))
 
+# Products whose shorter factor has fewer coefficients than this use the
+# schoolbook convolution; longer ones use Kronecker substitution.  Measured
+# on CPython 3.11, x86-64: balanced products break even near this length, and
+# products with one long factor favour Kronecker from about 10 on.
+KRONECKER_MIN_LEN = 16
+
+
+def _schoolbook_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The convolution of two coefficient lists, term by term."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The convolution of two coefficient lists, each with a nonzero entry,
+    by Kronecker substitution: each list is packed into one integer, a
+    polynomial evaluated at q = 2**w, and the integers are multiplied by
+    CPython's bigint arithmetic (Karatsuba for long operands).
+
+    Every coefficient of the product is bounded in absolute value by
+    max|a| * max|b| * min(len a, len b) < 2**(w-1), so each w-bit slot of
+    the product holds one coefficient.  Adding 2**(w-1) to every slot makes
+    all slots nonnegative, so no slot borrows from its neighbour, and the
+    slots are then read back from the bytes of one integer.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1  # bytes per slot: 8 * width > bit_length
+    half = 1 << (8 * width - 1)
+    half_bytes = half.to_bytes(width, "little")
+
+    def halves(slots: int) -> int:  # 2**(w-1) in each of `slots` slots
+        return int.from_bytes(half_bytes * slots, "little")
+
+    def pack(coeffs: Sequence[int]) -> int:
+        biased = map(operator.add, coeffs, repeat(half))
+        packed = b"".join(map(int.to_bytes, biased, repeat(width), repeat("little")))
+        return int.from_bytes(packed, "little") - halves(len(coeffs))
+
+    size = len(a) + len(b) - 1
+    raw = (pack(a) * pack(b) + halves(size)).to_bytes(width * size, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, width * size, width)
+    ]
+
 
 def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
     """Long division of ascending coefficient lists by a monic divisor.
@@ -356,6 +406,27 @@ def cyclotomic(m: int) -> CyclotomicModulus:
     return CyclotomicModulus(m, cyclotomic_poly(m))
 
 
+def _fold(a: LaurentPoly, m: int, shift: int) -> list[int]:
+    """The residue of q^-shift * a modulo q^m - 1 as m coefficients, the one
+    of q^r at index r: the coefficients of ``a`` summed over each class of
+    exponents mod m, one slice sum per class."""
+    folded = [0] * m
+    for r in range(min(m, len(a.coeffs))):
+        folded[(a.val - shift + r) % m] = sum(a.coeffs[r::m])
+    return folded
+
+
 def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> bool:
-    """True if a - b is divisible by Phi_m(q)."""
-    return divides(mod.phi, a - b)
+    """True if a - b is divisible by Phi_m(q).
+
+    Phi_m divides q^m - 1, and q^-v is a unit, so a and b may each be
+    multiplied by q^-v and reduced modulo q^m - 1 first.  With v the lower
+    valuation of the two, that leaves a difference no longer than m or than
+    a - b, which ``divides`` tests exactly; a - b itself is never formed.
+
+    >>> congruent_mod(LaurentPoly(-1, (1,)), LaurentPoly(2, (1,)), cyclotomic(3))
+    True
+    """
+    shift = min((x.val for x in (a, b) if x.coeffs), default=0)
+    diff = map(operator.sub, _fold(a, mod.m, shift), _fold(b, mod.m, shift))
+    return divides(mod.phi, LaurentPoly(0, list(diff)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from .laurent import ONE, ZERO, LaurentPoly, cyclotomic, divides
+from .laurent import ONE, ZERO, LaurentPoly, congruent_mod, cyclotomic
 from .qbinom import qbinom
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "PowerSeriesInX",
     "series_mul",
     "power_xy",
-    "extract_coeff",
     "pochhammer_expansion",
     "verify_chu_vandermonde",
     "freshman_congruence",
@@ -158,11 +157,6 @@ def power_xy(n: int, direction: Direction, truncation: int) -> NormalSeries:
     return acc
 
 
-def extract_coeff(s: NormalSeries, k: int) -> LaurentPoly:
-    """The coefficient of x^k y^(n-k) in the retained window of ``s``."""
-    return s.coefficient(k)
-
-
 @dataclasses.dataclass(frozen=True)
 class PowerSeriesInX:
     """A truncated power series in a commuting x with Laurent-polynomial
@@ -246,7 +240,7 @@ def freshman_congruence(m: int, truncation: int | None = None) -> bool:
         raise ValueError(f"freshman congruence requires m >= 2, got {m}")
     window = max(m + 1, truncation or 0)
     s = power_xy(m, Direction.FROM_ZERO, window)
-    phi = cyclotomic(m).phi
+    mod = cyclotomic(m)
     if s.coefficient(0) != ONE or s.coefficient(m) != ONE:
         return False
-    return all(divides(phi, s.coefficient(k)) for k in range(1, m))
+    return all(congruent_mod(s.coefficient(k), ZERO, mod) for k in range(1, m))

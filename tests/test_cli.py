@@ -126,6 +126,85 @@ def test_table_into_closed_pipe_exits_zero_silently():
     assert code == 0
 
 
+def test_eval_too_large_exits_two_at_once():
+    # qbinom(100000, 50000) has 2.5e9 coefficients: without the size guard
+    # this process runs for hours
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qneg", "eval", "--n", "100000", "--k", "50000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
+
+
+def test_size_limit_sums_the_cells_of_a_table(capsys, monkeypatch):
+    # [-3, -5] has 5 coefficients and [-3, -6] has 7; a --q1 value counts as one
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 5)
+    assert run_cli(capsys, "eval", "--n", "-3", "--k", "-5")[0] == 0
+    assert run_cli(capsys, "table", "--n", "-3..-3", "--k", "-5..-5")[0] == 0
+    code, out, err = run_cli(capsys, "table", "--n", "-3..-3", "--k", "-6..-5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the result is too large")
+    assert run_cli(capsys, "eval", "--n", "4", "--k", "2")[0] == 0  # 5 coefficients
+    assert run_cli(capsys, "eval", "--n", "5", "--k", "2")[0] == 2  # 7 coefficients
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 6)
+    assert run_cli(capsys, "table", "--n", "5..6", "--k", "-2..0", "--q1")[0] == 0
+    assert run_cli(capsys, "table", "--n", "5..6", "--k", "-3..0", "--q1")[0] == 2
+    # with --q1 a value counts as a bound on its digits: 7 for binom(20, 10)
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 7)
+    assert run_cli(capsys, "eval", "--n", "20", "--k", "10", "--q1")[:2] == (0, "184756\n")
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 5)
+    assert run_cli(capsys, "eval", "--n", "20", "--k", "10", "--q1")[0] == 2
+
+
+def test_q1_size_bound_covers_every_value():
+    for n in range(-40, 41):
+        for k in range(-40, 41):
+            assert cli._value_size(n, k, q1=True) >= len(str(abs(binom(n, k))))
+
+
+def test_eval_q1_too_large_exits_two_at_once():
+    # binom(10**9, 5 * 10**8) has 3e8 digits: without the size guard this
+    # process runs for hours
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    argv = ["eval", "--n", "1000000000", "--k", "500000000", "--q1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qneg", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "digits" in proc.stderr
+
+
+def test_eval_q1_past_the_int_text_limit_says_so(capsys):
+    # binom(20000, 10000) has 6,019 digits, more than CPython's default 4,300
+    code, out, err = run_cli(capsys, "eval", "--n", "20000", "--k", "10000", "--q1")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < 6019:
+        assert (code, out) == (2, "")
+        assert "PYTHONINTMAXSTRDIGITS" in err
+    else:
+        assert code == 0 and len(out) == 6020
+
+
+def test_size_limit_is_documented_and_admits_the_readme_table(capsys):
+    # README's broken-pipe example prints 859,361 coefficients
+    cli._check_size(range(-40, 41), range(-40, 41), q1=False)
+    for command in ("eval", "table"):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert f"{cli.MAX_COEFFICIENTS:,} coefficients" in capsys.readouterr().out
+
+
 def test_table_malformed_range_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["table", "--n", "1..x", "--k", "0..1"])

@@ -14,7 +14,8 @@ from qneg.congruence import (
     verify_lucas,
     verify_q_lucas,
 )
-from qneg.laurent import LaurentPoly, cyclotomic
+from qneg import laurent
+from qneg.laurent import LaurentPoly, congruent_mod, cyclotomic, divides
 from qneg.qbinom import binom, qbinom
 
 
@@ -157,6 +158,47 @@ def test_verify_q_lucas_composite_modulus():
         for n in range(-8, 9):
             for k in range(-8, 9):
                 assert verify_q_lucas(n, k, m), (n, k, m)
+
+
+def test_folded_congruence_matches_division_on_the_default_sweep():
+    # every case of `qneg verify qlucas`, and each one shifted off by q^j
+    for m in range(2, 10):
+        mod = cyclotomic(m)
+        for n in range(-15, 16):
+            for k in range(-15, 16):
+                lhs, rhs = qbinom(n, k), q_lucas_rhs(n, k, m)
+                assert congruent_mod(lhs, rhs, mod) and divides(mod.phi, lhs - rhs)
+                control = rhs + LaurentPoly.q_power(n - k)
+                assert not congruent_mod(lhs, control, mod)
+                assert not divides(mod.phi, lhs - control)
+
+
+def test_folded_congruence_divides_no_more_than_the_difference(monkeypatch):
+    # m = 2310 has phi(m) = 480; a dividend of m coefficients would cost
+    # about (m - 480) * 480 steps however short the two polynomials are
+    m = 2310
+    mod = cyclotomic(m)
+    lengths = []
+    divmod_monic = laurent._divmod_monic
+
+    def recording(num, den):
+        lengths.append(len(num))
+        return divmod_monic(num, den)
+
+    monkeypatch.setattr(laurent, "_divmod_monic", recording)
+    cases = [
+        (qbinom(-3, 2), LaurentPoly(-4, (1, 2, 1))),
+        (LaurentPoly(-5, (1, 0, 3)), LaurentPoly(-2, (7,))),
+        (LaurentPoly(-2, (1, 2, 3, 4)), LaurentPoly(1, (5,))),  # spans q^0
+        (LaurentPoly(-5, (1, 0, 3)), LaurentPoly.zero()),
+        (LaurentPoly.zero(), LaurentPoly(m - 3, (2, 5))),
+        (LaurentPoly(-1, (1,)), LaurentPoly(m - 1, (1,))),  # q^-1 == q^(m-1)
+    ]
+    for a, b in cases:
+        expected = divides(mod.phi, a - b)
+        lengths.clear()
+        assert congruent_mod(a, b, mod) == expected
+        assert all(length <= len((a - b).coeffs) for length in lengths)
 
 
 def test_q_lucas_rejects_small_modulus():

@@ -7,7 +7,6 @@ from qneg.qbinom import qbinom
 from qneg.qseries import (
     Direction,
     NormalSeries,
-    extract_coeff,
     freshman_congruence,
     pochhammer_expansion,
     power_xy,
@@ -104,19 +103,19 @@ def test_binomial_theorem_both_directions():
             assert from_inf.coefficient(k) == qbinom(n, k), (n, k)
 
 
-def test_extract_coeff_window_contract():
+def test_coefficient_window_contract():
     s = power_xy(4, FZ, 16)
-    assert extract_coeff(s, 5) == ZERO  # inside window, beyond support
-    assert extract_coeff(s, 15) == ZERO
+    assert s.coefficient(5) == ZERO  # inside window, beyond support
+    assert s.coefficient(15) == ZERO
     with pytest.raises(ValueError):
-        extract_coeff(s, 16)
+        s.coefficient(16)
     with pytest.raises(ValueError):
-        extract_coeff(s, -1)  # from-zero expansion says nothing for k < 0
+        s.coefficient(-1)  # from-zero expansion says nothing for k < 0
     t = power_xy(-3, FI, 8)
     with pytest.raises(ValueError):
-        extract_coeff(t, -2)  # from-infinity expansion starts at k = n
+        t.coefficient(-2)  # from-infinity expansion starts at k = n
     with pytest.raises(ValueError):
-        extract_coeff(t, -11)
+        t.coefficient(-11)
 
 
 def test_power_xy_rejects_empty_window():

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from typing import Callable, Iterator
 
@@ -52,13 +51,7 @@ Outcome = bool | str  # True, False, or "skip"
 Case = tuple[str, Outcome]
 
 
-class _Parser(argparse.ArgumentParser):
-    # Treat any "-<digits>..." token as a value rather than an option name,
-    # so range flags accept "--n -30..30" without an equals sign.  argparse
-    # assigns its matcher per instance, hence the override here.
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+")
+RANGE_FLAGS = ("--n", "--k", "--m", "--p")
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -447,7 +440,7 @@ def _cmd_verify(ns) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
         choices=("text", "json"),
@@ -455,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default text)",
     )
 
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="qneg",
         description="Exact q-binomial coefficients for all integer arguments.",
     )
@@ -517,9 +510,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write "--n -30..30" as "--n=-30..30".  argparse takes a token that
+    starts with "-" and is not a plain negative number for an option name,
+    so a negative range would otherwise lose its flag's value."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in RANGE_FLAGS and arg[:1] == "-" and arg[1:2].isdecimal():
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return ns.handler(ns)
     except ValueError as exc:

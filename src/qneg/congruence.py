@@ -9,8 +9,9 @@ primality required.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+from collections import namedtuple
+from math import comb
 
 from .laurent import LaurentPoly, congruent_mod, cyclotomic
 from .qbinom import binom, qbinom
@@ -28,24 +29,18 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class DigitSplit:
+class DigitSplit(namedtuple("DigitSplit", ["base", "low", "high"])):
     """One step of base expansion: original = low + high * base with the
     low digit in [0, base)."""
 
-    base: int
-    low: int
-    high: int
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
-class PadicDigits:
+class PadicDigits(namedtuple("PadicDigits", ["base", "preperiodic", "eventual"])):
     """Base-b digits, low digit first: a finite transient followed by a
     single digit repeating forever (0 for n >= 0, base-1 for n < 0)."""
 
-    base: int
-    preperiodic: tuple[int, ...]
-    eventual: int
+    __slots__ = ()
 
     def digit(self, i: int) -> int:
         if i < len(self.preperiodic):
@@ -64,8 +59,8 @@ def digit_split(n: int, base: int) -> DigitSplit:
     """
     if base < 2:
         raise ValueError(f"base must be at least 2, got {base}")
-    low = n % base
-    return DigitSplit(base, low, (n - low) // base)
+    high, low = divmod(n, base)
+    return DigitSplit(base, low, high)
 
 
 def padic_digits(n: int, base: int) -> PadicDigits:
@@ -79,9 +74,8 @@ def padic_digits(n: int, base: int) -> PadicDigits:
         raise ValueError(f"base must be at least 2, got {base}")
     digits: list[int] = []
     while n not in (0, -1):
-        split = digit_split(n, base)
-        digits.append(split.low)
-        n = split.high
+        n, low = divmod(n, base)
+        digits.append(low)
     return PadicDigits(base, tuple(digits), 0 if n == 0 else base - 1)
 
 
@@ -109,7 +103,8 @@ def lucas_product(n: int, k: int, p: int) -> int:
     their fixed points the digit pairs repeat as (0,0), (p-1,0) or
     (p-1,p-1), each with binomial 1, or as (0,p-1), whose binomial 0 kills
     the product.  One representative factor of the stable pair is therefore
-    appended after the transients.
+    appended after the transients.  Every digit lies in [0, p), so each
+    factor is an ordinary ``math.comb``.
 
     >>> lucas_product(-11, -19, 7)
     1
@@ -118,22 +113,24 @@ def lucas_product(n: int, k: int, p: int) -> int:
         raise ValueError(f"modulus {p} is not prime")
     acc = 1
     while not (n in (0, -1) and k in (0, -1)):
-        sn, sk = digit_split(n, p), digit_split(k, p)
-        acc = acc * binom(sn.low, sk.low) % p
-        n, k = sn.high, sk.high
+        n, n0 = divmod(n, p)
+        k, k0 = divmod(k, p)
+        acc = acc * comb(n0, k0) % p
     stable_n = 0 if n == 0 else p - 1
     stable_k = 0 if k == 0 else p - 1
-    return acc * binom(stable_n, stable_k) % p
+    return acc * comb(stable_n, stable_k) % p
 
 
 def verify_lucas(n: int, k: int, p: int) -> bool:
     """Check the single-step Lucas congruence modulo the prime p:
     binom(n, k) = binom(n0, k0) * binom(n', k') where n = n0 + n'p and
-    k = k0 + k'p with n0, k0 in [0, p)."""
+    k = k0 + k'p with n0, k0 in [0, p).  The digits' binomial is an
+    ordinary ``math.comb``; the high parts may be negative."""
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    sn, sk = digit_split(n, p), digit_split(k, p)
-    rhs = binom(sn.low, sk.low) * binom(sn.high, sk.high)
+    n1, n0 = divmod(n, p)
+    k1, k0 = divmod(k, p)
+    rhs = comb(n0, k0) * binom(n1, k1)
     return (binom(n, k) - rhs) % p == 0
 
 
@@ -146,8 +143,9 @@ def q_lucas_rhs(n: int, k: int, m: int) -> LaurentPoly:
     """
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
-    sn, sk = digit_split(n, m), digit_split(k, m)
-    return qbinom(sn.low, sk.low) * binom(sn.high, sk.high)
+    n1, n0 = divmod(n, m)
+    k1, k0 = divmod(k, m)
+    return qbinom(n0, k0) * binom(n1, k1)
 
 
 def verify_q_lucas(n: int, k: int, m: int) -> bool:

@@ -8,7 +8,6 @@ a signed, q-weighted sum over subsets reproduces qbinom(n, k) exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections import Counter
 from typing import Iterable, Iterator, Mapping
@@ -25,7 +24,6 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
 class HybridSet:
     """A finite map from integer elements to nonzero integer multiplicities.
 
@@ -38,6 +36,7 @@ class HybridSet:
     { | -1, -1, -2, -3}
     """
 
+    __slots__ = ("multiplicities",)
     multiplicities: tuple[tuple[int, int], ...]
 
     def __init__(self, multiplicities: Mapping[int, int] | Iterable[tuple[int, int]]):
@@ -49,6 +48,14 @@ class HybridSet:
         self.multiplicities = tuple(
             sorted(((e, m) for e, m in items if m != 0), reverse=True)
         )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.multiplicities == other.multiplicities
+
+    def __hash__(self) -> int:
+        return hash((self.multiplicities,))
 
     @classmethod
     def from_elements(cls, positives: Iterable[int] = (), negatives: Iterable[int] = ()) -> HybridSet:

@@ -7,9 +7,9 @@ which is what "congruent mod Phi_m(q)" means for Laurent polynomials.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
-from itertools import repeat
+from collections import namedtuple
+from itertools import accumulate, repeat
 from typing import Iterator, Mapping, Sequence
 
 __all__ = [
@@ -32,7 +32,6 @@ class InvariantError(ArithmeticError):
     bad input, and unlike ``assert`` it is not removed under ``python -O``."""
 
 
-@dataclasses.dataclass(init=False, eq=True, unsafe_hash=True)
 class LaurentPoly:
     """A Laurent polynomial over the integers: a valuation plus a dense
     coefficient list, ``coeffs[i]`` holding the coefficient of ``q**(val+i)``.
@@ -49,6 +48,7 @@ class LaurentPoly:
     True
     """
 
+    __slots__ = ("val", "coeffs")
     val: int
     coeffs: tuple[int, ...]
 
@@ -65,6 +65,14 @@ class LaurentPoly:
         else:
             self.val = val
             self.coeffs = tuple(coeffs[lo:hi])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.val == other.val and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.val, self.coeffs))
 
     # -- constructors ------------------------------------------------------
 
@@ -356,13 +364,11 @@ def divides(d: LaurentPoly, a: LaurentPoly) -> bool:
     return not any(rem)
 
 
-@dataclasses.dataclass(frozen=True)
-class CyclotomicModulus:
+class CyclotomicModulus(namedtuple("CyclotomicModulus", ["m", "phi"])):
     """The congruence context for q-Lucas: an integer m >= 2 together with
     the m-th cyclotomic polynomial Phi_m(q)."""
 
-    m: int
-    phi: LaurentPoly
+    __slots__ = ()
 
 
 # Cache of Phi_m keyed by m.  Values are immutable and every writer computes
@@ -370,9 +376,28 @@ class CyclotomicModulus:
 _cyclotomic_cache: dict[int, LaurentPoly] = {}
 
 
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, by trial division."""
+    primes = []
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            primes.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
 def cyclotomic_poly(m: int) -> LaurentPoly:
-    """The m-th cyclotomic polynomial for m >= 1, by recursive exact division:
-    Phi_m(q) = (q^m - 1) / prod of Phi_d(q) over proper divisors d of m.
+    """The m-th cyclotomic polynomial for m >= 1.
+
+    For m > 1 it is the Moebius product Phi_m = prod over d | m of
+    (1 - q^d)^mu(m/d).  Every factor with exponent +1 is multiplied in
+    first, as one slice subtraction each; each factor with exponent -1 is
+    then divided out exactly, as d stride-d prefix sums (checked).
 
     >>> cyclotomic_poly(6)
     LaurentPoly('1 - q + q^2')
@@ -385,16 +410,25 @@ def cyclotomic_poly(m: int) -> LaurentPoly:
     if m == 1:
         phi = LaurentPoly(0, (-1, 1))
     else:
-        num = [0] * (m + 1)
-        num[0], num[m] = -1, 1
-        den = ONE
-        for d in range(1, m):
-            if m % d == 0:
-                den = den * cyclotomic_poly(d)
-        quot, rem = _divmod_monic(num, den.coeffs)
-        if any(rem):
-            raise InvariantError(f"cyclotomic division left a remainder at m={m}")
-        phi = LaurentPoly(0, quot)
+        # (d, mu(m/d)) for every divisor d of m with mu(m/d) != 0
+        factors = [(m, 1)]
+        for p in _prime_factors(m):
+            factors += [(d // p, -mu) for d, mu in factors]
+        coeffs = [1]
+        for d, mu in factors:
+            if mu == 1:  # multiply by (1 - q^d)
+                prod = coeffs + [0] * d
+                prod[d:] = map(operator.sub, prod[d:], coeffs)
+                coeffs = prod
+        for d, mu in factors:
+            if mu == -1:  # divide by (1 - q^d): g[j] = f[j] + g[j-d]
+                for r in range(d):
+                    coeffs[r::d] = accumulate(coeffs[r::d])
+                width = len(coeffs) - d
+                if any(coeffs[width:]):
+                    raise InvariantError(f"cyclotomic division left a remainder at m={m}")
+                del coeffs[width:]
+        phi = LaurentPoly(0, coeffs)
     _cyclotomic_cache[m] = phi
     return phi
 
@@ -406,13 +440,18 @@ def cyclotomic(m: int) -> CyclotomicModulus:
     return CyclotomicModulus(m, cyclotomic_poly(m))
 
 
-def _fold(a: LaurentPoly, m: int, shift: int) -> list[int]:
-    """The residue of q^-shift * a modulo q^m - 1 as m coefficients, the one
-    of q^r at index r: the coefficients of ``a`` summed over each class of
-    exponents mod m, one slice sum per class."""
-    folded = [0] * m
-    for r in range(min(m, len(a.coeffs))):
-        folded[(a.val - shift + r) % m] = sum(a.coeffs[r::m])
+def _fold(a: LaurentPoly, m: int, shift: int, size: int) -> list[int]:
+    """The residue of q^-shift * a modulo q^m - 1 as ``size`` <= m
+    coefficients, the one of q^r at index r.  A polynomial that fits is
+    copied in place; otherwise the coefficients of ``a`` are summed over
+    each class of exponents mod m, one slice sum per class."""
+    folded = [0] * size
+    start = a.val - shift
+    if start + len(a.coeffs) <= size:
+        folded[start : start + len(a.coeffs)] = a.coeffs
+    else:
+        for r in range(min(m, len(a.coeffs))):
+            folded[(start + r) % m] = sum(a.coeffs[r::m])
     return folded
 
 
@@ -423,10 +462,15 @@ def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> boo
     multiplied by q^-v and reduced modulo q^m - 1 first.  With v the lower
     valuation of the two, that leaves a difference no longer than m or than
     a - b, which ``divides`` tests exactly; a - b itself is never formed.
+    Two sides that together span at most m exponents need no reduction and
+    are subtracted as they stand.
 
     >>> congruent_mod(LaurentPoly(-1, (1,)), LaurentPoly(2, (1,)), cyclotomic(3))
     True
     """
-    shift = min((x.val for x in (a, b) if x.coeffs), default=0)
-    diff = map(operator.sub, _fold(a, mod.m, shift), _fold(b, mod.m, shift))
+    m = mod.m
+    sides = [x for x in (a, b) if x.coeffs]
+    shift = min((x.val for x in sides), default=0)
+    size = min(m, max((x.degree() + 1 - shift for x in sides), default=0))
+    diff = map(operator.sub, _fold(a, m, shift, size), _fold(b, m, shift, size))
     return divides(mod.phi, LaurentPoly(0, list(diff)))

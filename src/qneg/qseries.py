@@ -10,8 +10,8 @@ together with the commutative q-binomial theorem for the shifted factorial
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+from collections import namedtuple
 
 from .laurent import ONE, ZERO, LaurentPoly, congruent_mod, cyclotomic
 from .qbinom import qbinom
@@ -35,8 +35,9 @@ class Direction(enum.Enum):
     FROM_INFINITY = "from-infinity"  # k = n, n-1, n-2, ...
 
 
-@dataclasses.dataclass(frozen=True)
-class NormalSeries:
+class NormalSeries(
+    namedtuple("NormalSeries", ["n", "direction", "terms", "truncation"])
+):
     """A truncated normal-ordered expansion of total degree n: the stored
     value at key k is the Laurent-polynomial coefficient of x^k y^(n-k).
 
@@ -46,10 +47,7 @@ class NormalSeries:
     finite polynomial.
     """
 
-    n: int
-    direction: Direction
-    terms: dict[int, LaurentPoly]
-    truncation: int
+    __slots__ = ()
 
     def window(self) -> tuple[int, int]:
         """Inclusive (low, high) bounds of the retained k-window."""
@@ -157,13 +155,11 @@ def power_xy(n: int, direction: Direction, truncation: int) -> NormalSeries:
     return acc
 
 
-@dataclasses.dataclass(frozen=True)
-class PowerSeriesInX:
+class PowerSeriesInX(namedtuple("PowerSeriesInX", ["coefficients", "truncation"])):
     """A truncated power series in a commuting x with Laurent-polynomial
     coefficients; exponents live in [0, truncation)."""
 
-    coefficients: dict[int, LaurentPoly]
-    truncation: int
+    __slots__ = ()
 
     def coefficient(self, k: int) -> LaurentPoly:
         if not 0 <= k < self.truncation:

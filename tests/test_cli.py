@@ -377,6 +377,41 @@ def test_every_suite_passes_on_small_ranges(capsys, suite, flags):
 # -- range parsing --------------------------------------------------------------------
 
 
+def test_negative_ranges_parse_spaced_or_joined(capsys):
+    spaced = run_cli(capsys, "table", "--n", "-2..2", "--k", "-2..2")
+    joined = run_cli(capsys, "table", "--n=-2..2", "--k=-2..2")
+    assert spaced == joined and spaced[0] == 0
+    assert spaced[1].splitlines()[0] == "n\\k\t-2\t-1\t0\t1\t2"
+    code, out, _ = run_cli(capsys, "verify", "lucas", "--p", "3", "--n", "-4", "--k", "-4..-1")
+    assert (code, out) == (0, "checked 4, passed 4\n")
+
+
+def test_negative_option_values_stay_values_or_errors(capsys):
+    assert run_cli(capsys, "eval", "--n", "-3", "--k", "-5")[:2] == (
+        0,
+        "q^-7 + q^-6 + 2*q^-5 + q^-4 + q^-3\n",
+    )
+    for argv in (
+        ["eval", "--n", "-x", "--k", "1"],
+        ["table", "--n", "-x..2", "--k", "0..1"],
+        ["table", "--n", "-2..x", "--k", "0..1"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+
+
+def test_import_leaves_dataclasses_unloaded():
+    # `import dataclasses` pulls in inspect, ast, dis and tokenize, which
+    # every qneg process would pay for; -S keeps site hooks out of the count
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    probe = "import sys, qneg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_parse_range():
     assert cli.parse_range("-30..30") == (-30, 30)
     assert cli.parse_range("7") == (7, 7)

@@ -117,6 +117,33 @@ def test_verify_lucas_examples():
     assert verify_lucas(5, 2, 7)
 
 
+def test_lucas_matches_the_digit_split_formulation():
+    # the formulation before digits became divmod pairs and math.comb
+    def lucas_product_by_splits(n, k, p):
+        acc = 1
+        while not (n in (0, -1) and k in (0, -1)):
+            sn, sk = digit_split(n, p), digit_split(k, p)
+            acc = acc * binom(sn.low, sk.low) % p
+            n, k = sn.high, sk.high
+        return acc * binom(0 if n == 0 else p - 1, 0 if k == 0 else p - 1) % p
+
+    def verify_lucas_by_splits(n, k, p):
+        sn, sk = digit_split(n, p), digit_split(k, p)
+        rhs = binom(sn.low, sk.low) * binom(sn.high, sk.high)
+        return (binom(n, k) - rhs) % p == 0
+
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(-60, 61):
+            for k in range(-60, 61):
+                assert lucas_product(n, k, p) == lucas_product_by_splits(n, k, p), (n, k, p)
+                assert verify_lucas(n, k, p) is verify_lucas_by_splits(n, k, p), (n, k, p)
+        for n in range(-30, 31, 7):
+            for k in range(-30, 31, 5):
+                sn, sk = digit_split(n, p), digit_split(k, p)
+                expected = qbinom(sn.low, sk.low) * binom(sn.high, sk.high)
+                assert q_lucas_rhs(n, k, p) == expected, (n, k, p)
+
+
 def test_lucas_sweep_small():
     for p in (2, 3, 5):
         for n in range(-20, 21):
@@ -174,31 +201,44 @@ def test_folded_congruence_matches_division_on_the_default_sweep():
 
 
 def test_folded_congruence_divides_no_more_than_the_difference(monkeypatch):
-    # m = 2310 has phi(m) = 480; a dividend of m coefficients would cost
-    # about (m - 480) * 480 steps however short the two polynomials are
-    m = 2310
-    mod = cyclotomic(m)
-    lengths = []
-    divmod_monic = laurent._divmod_monic
+    # phi(2310) = 480 and phi(30030) = 5760; a dividend or a fold of m
+    # coefficients would cost about (m - phi(m)) * phi(m) steps or m
+    # allocations however short the two polynomials are
+    lengths, folds = [], []
+    divmod_monic, fold = laurent._divmod_monic, laurent._fold
 
-    def recording(num, den):
+    def recording_divmod(num, den):
         lengths.append(len(num))
         return divmod_monic(num, den)
 
-    monkeypatch.setattr(laurent, "_divmod_monic", recording)
-    cases = [
-        (qbinom(-3, 2), LaurentPoly(-4, (1, 2, 1))),
-        (LaurentPoly(-5, (1, 0, 3)), LaurentPoly(-2, (7,))),
-        (LaurentPoly(-2, (1, 2, 3, 4)), LaurentPoly(1, (5,))),  # spans q^0
-        (LaurentPoly(-5, (1, 0, 3)), LaurentPoly.zero()),
-        (LaurentPoly.zero(), LaurentPoly(m - 3, (2, 5))),
-        (LaurentPoly(-1, (1,)), LaurentPoly(m - 1, (1,))),  # q^-1 == q^(m-1)
-    ]
-    for a, b in cases:
-        expected = divides(mod.phi, a - b)
-        lengths.clear()
-        assert congruent_mod(a, b, mod) == expected
-        assert all(length <= len((a - b).coeffs) for length in lengths)
+    def recording_fold(*args):
+        folds.append(fold(*args))
+        return folds[-1]
+
+    monkeypatch.setattr(laurent, "_divmod_monic", recording_divmod)
+    monkeypatch.setattr(laurent, "_fold", recording_fold)
+    for m in (2310, 30030):
+        mod = cyclotomic(m)
+        short = [
+            (qbinom(-3, 2), LaurentPoly(-4, (1, 2, 1))),
+            (LaurentPoly(-5, (1, 0, 3)), LaurentPoly(-2, (7,))),
+            (LaurentPoly(-2, (1, 2, 3, 4)), LaurentPoly(1, (5,))),  # spans q^0
+            (LaurentPoly(-5, (1, 0, 3)), LaurentPoly.zero()),
+        ]
+        # q^m = 1 modulo Phi_m decides these two; long division of a - b by
+        # Phi_30030 would take seconds
+        wide = [
+            (LaurentPoly.zero(), LaurentPoly(m - 3, (2, 5)), False),
+            (LaurentPoly(-1, (1,)), LaurentPoly(m - 1, (1,)), True),  # q^-1 == q^(m-1)
+        ]
+        for a, b, expected in [(a, b, divides(mod.phi, a - b)) for a, b in short] + wide:
+            lengths.clear()
+            folds.clear()
+            assert congruent_mod(a, b, mod) == expected
+            assert all(length <= len((a - b).coeffs) for length in lengths)
+            if (a, b) in short:
+                assert len(folds) == 2
+                assert all(len(f) <= len((a - b).coeffs) for f in folds)
 
 
 def test_q_lucas_rejects_small_modulus():

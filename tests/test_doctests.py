@@ -3,10 +3,13 @@
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import qneg
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # __main__ runs the command line when imported
 MODULES = sorted(
@@ -29,3 +32,11 @@ def test_every_documented_example_is_collected():
         if test.examples
     ]
     assert len(found) >= 18  # docstrings with examples when this test was written
+
+
+def test_readme_examples():
+    # a pycon block ends with a blank line, so that doctest stops reading
+    # expected output before the closing fence
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.failed == 0, f"{result.failed} of {result.attempted} README examples failed"
+    assert result.attempted >= 3  # the examples when this test was written

@@ -33,6 +33,23 @@ def test_mixed_hybrid_set():
     assert str(x) == "{4, 1, 1 | 3, 3, 2}"
 
 
+def test_equality_and_hash_follow_the_multiplicities():
+    # the rules of a dataclass(eq=True, unsafe_hash=True) on one field
+    class SubSet(HybridSet):
+        __slots__ = ()
+
+    sets = [HybridSet({}), HybridSet({-1: 2}), HybridSet({-1: -2, -2: -1})]
+    sets += list(k_subsets(-3, 2)) + list(k_subsets(4, 2))
+    for a in sets:
+        for b in sets:
+            assert (a == b) is (a.multiplicities == b.multiplicities)
+        assert hash(a) == hash((a.multiplicities,))
+        assert a == HybridSet(dict(a.multiplicities))
+        assert hash(a) == hash(HybridSet(dict(a.multiplicities)))
+        assert a != a.multiplicities and a != SubSet(a.multiplicities)
+    assert len(set(k_subsets(-3, 2)) | set(k_subsets(-3, 2))) == subset_count(-3, 2)
+
+
 def test_no_zero_multiplicities_stored():
     x = HybridSet({3: 0, 1: 2, 2: -1})
     assert x.support() == (2, 1)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from qneg import laurent
 from qneg.laurent import (
     ONE,
     ZERO,
@@ -33,6 +34,29 @@ def test_canonical_trims_zeros():
     assert LaurentPoly(-2, (0, 0, 3, 1, 0)) == LaurentPoly(0, (3, 1))
     assert LaurentPoly(5, (0, 0)) == ZERO
     assert LaurentPoly(3, ()).val == 0
+
+
+class SubPoly(LaurentPoly):
+    __slots__ = ()
+
+
+def test_equality_and_hash_are_structural_within_the_class():
+    # the rules of a dataclass(eq=True, unsafe_hash=True) on (val, coeffs)
+    rng = random.Random(3)
+    polys = [random_poly(rng) for _ in range(40)] + [ZERO, ONE, L({-1: 1})]
+    for a in polys:
+        for b in polys:
+            same = (a.val, a.coeffs) == (b.val, b.coeffs)
+            assert (a == b) is same and (a != b) is not same
+        assert hash(a) == hash((a.val, a.coeffs))
+        assert hash(LaurentPoly(a.val, a.coeffs)) == hash(a)
+        assert a.__eq__((a.val, a.coeffs)) is NotImplemented
+        assert a != (a.val, a.coeffs) and a != a.eval_at_one()
+        twin = SubPoly(a.val, a.coeffs)
+        assert a != twin and twin != a and twin == SubPoly(a.val, a.coeffs)
+    assert len({LaurentPoly(0, (1, 2)), L({0: 1, 1: 2}), LaurentPoly(1, (1, 2))}) == 2
+    with pytest.raises(AttributeError):
+        ONE.extra = 1  # slots: no per-instance dict
 
 
 def test_zero_polynomial_is_unique():
@@ -178,6 +202,36 @@ def test_cyclotomic_product_is_qm_minus_one(m):
         if m % d == 0:
             prod = prod * cyclotomic_poly(d)
     assert prod == LaurentPoly.q_power(m) - ONE
+
+
+def cyclotomic_by_division(m):
+    # the recursion Phi_m = (q^m - 1) / prod of Phi_d over proper divisors d,
+    # by long division, uncached: the oracle for the Moebius product
+    if m == 1:
+        return LaurentPoly(0, (-1, 1))
+    num = [0] * (m + 1)
+    num[0], num[m] = -1, 1
+    den = ONE
+    for d in range(1, m):
+        if m % d == 0:
+            den = den * cyclotomic_by_division(d)
+    quot, rem = laurent._divmod_monic(num, den.coeffs)
+    assert not any(rem)
+    return LaurentPoly(0, quot)
+
+
+def test_cyclotomic_matches_the_division_recursion():
+    laurent._cyclotomic_cache.clear()
+    for m in range(1, 401):
+        assert cyclotomic_poly(m) == cyclotomic_by_division(m), m
+
+
+def test_cyclotomic_at_six_primes():
+    # 30030 = 2*3*5*7*11*13; the division recursion took about 26 s here
+    phi = cyclotomic_poly(30030)
+    assert phi.valuation() == 0 and phi.degree() == 5760
+    assert phi.is_monic() and phi.is_self_reciprocal()
+    assert phi.eval_at_one() == 1
 
 
 def test_cyclotomic_rejects_bad_m():

@@ -156,7 +156,7 @@ def _suite_chu(ns) -> Iterator[Case]:
 
 def _suite_qbt(ns) -> Iterator[Case]:
     # Commutative q-binomial theorem for the shifted factorial.
-    trunc = ns.trunc or 10
+    trunc = 10 if ns.trunc is None else ns.trunc
     for n in _span(ns.n, -5, 5):
         series = pochhammer_expansion(n, trunc)
         for k in range(trunc):
@@ -166,7 +166,7 @@ def _suite_qbt(ns) -> Iterator[Case]:
 
 def _suite_ncqbt(ns) -> Iterator[Case]:
     # Noncommutative binomial theorem, both expansion directions.
-    trunc = ns.trunc or 10
+    trunc = 10 if ns.trunc is None else ns.trunc
     for n in _span(ns.n, -6, 6):
         from_zero = power_xy(n, Direction.FROM_ZERO, trunc)
         for k in range(trunc):
@@ -273,15 +273,18 @@ def _check_size(n_values: range, k_values: range, q1: bool) -> None:
         )
 
 
-def _q1_text(n: int, k: int) -> str:
-    value = binom(n, k)
+def _int_text(value: int, name: str) -> str:
     try:
         return str(value)
     except ValueError:  # longer than sys.get_int_max_str_digits()
         raise ValueError(
-            f"binom({n}, {k}) has more than {sys.get_int_max_str_digits():,} "
+            f"{name} has more than {sys.get_int_max_str_digits():,} "
             "digits, the most this Python writes out (see PYTHONINTMAXSTRDIGITS)"
         ) from None
+
+
+def _q1_text(n: int, k: int) -> str:
+    return _int_text(binom(n, k), f"binom({n}, {k})")
 
 
 def _cmd_eval(ns) -> int:
@@ -394,16 +397,14 @@ def _cmd_qlucas(ns) -> int:
 
 
 def _cmd_apery(ns) -> int:
-    value = apery(ns.n)
-    _emit(
-        ns,
-        str(value),
-        {"command": "apery", "n": ns.n, "value": str(value)},
-    )
+    value = _int_text(apery(ns.n), f"A({ns.n})")
+    _emit(ns, value, {"command": "apery", "n": ns.n, "value": value})
     return 0
 
 
 def _cmd_verify(ns) -> int:
+    if ns.trunc is not None and ns.trunc < 1:
+        raise ValueError(f"--trunc must be at least 1, got {ns.trunc}")
     checked = passed = skipped = 0
     failures: list[str] = []
     for case, outcome in SUITES[ns.suite](ns):

@@ -126,9 +126,27 @@ def k_subsets(n: int, k: int) -> Iterator[HybridSet]:
             yield HybridSet({e: -1 - extras[e] for e in elements})
 
 
+def _sigmas(n: int, k: int) -> Iterator[int]:
+    """sigma(Y) for each Y of ``k_subsets(n, k)``, in the same order, read
+    straight from the combination streams without building the hybrid sets.
+
+    On k <= n < 0 the element e has multiplicity -1 - (copies of e among the
+    extras), so sigma(Y) = -sum(X_n's elements) - sum(extras).
+    """
+    elements = range(-1, n - 1, -1)
+    if 0 <= k <= n:
+        return map(sum, itertools.combinations(range(n), k))
+    if n < 0 <= k:
+        return map(sum, itertools.combinations_with_replacement(elements, k))
+    if k <= n < 0:
+        extras = itertools.combinations_with_replacement(elements, n - k)
+        return map((-sum(elements)).__sub__, map(sum, extras))
+    return iter(())
+
+
 def subset_count(n: int, k: int) -> int:
     """The number of k-element subsets of X_n, counted from the stream."""
-    return sum(1 for _ in k_subsets(n, k))
+    return sum(Counter(_sigmas(n, k)).values())
 
 
 def qbinom_via_subsets(n: int, k: int) -> LaurentPoly:
@@ -152,7 +170,5 @@ def qbinom_via_subsets(n: int, k: int) -> LaurentPoly:
     else:
         eps = -1 if (n - k) % 2 else 1
     offset = -(k * (k - 1) // 2)
-    weights: Counter[int] = Counter()
-    for y in k_subsets(n, k):
-        weights[y.sigma() + offset] += eps
-    return LaurentPoly.from_terms(weights)
+    counts = Counter(_sigmas(n, k))
+    return LaurentPoly.from_terms({s + offset: eps * c for s, c in counts.items()})

@@ -148,19 +148,19 @@ class LaurentPoly:
             return other
         if not other.coeffs:
             return self
-        lo = min(self.val, other.val)
-        hi = max(self.degree(), other.degree())
-        coeffs = [0] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            coeffs[self.val + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            coeffs[other.val + i - lo] += c
-        return LaurentPoly(lo, coeffs)
+        # copy the summand a that starts first, then add b over its span
+        a, b = (self, other) if self.val <= other.val else (other, self)
+        coeffs = list(a.coeffs)
+        start = b.val - a.val
+        end = start + len(b.coeffs)
+        coeffs += repeat(0, end - len(coeffs))
+        coeffs[start:end] = map(operator.add, coeffs[start:end], b.coeffs)
+        return LaurentPoly(a.val, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.val, tuple(-c for c in self.coeffs))
+        return LaurentPoly(self.val, tuple(map(operator.neg, self.coeffs)))
 
     def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
@@ -174,13 +174,22 @@ class LaurentPoly:
 
     def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
-            return LaurentPoly(self.val, tuple(c * other for c in self.coeffs))
+            if other == 1:
+                return self
+            if other == 0:
+                return ZERO
+            return LaurentPoly(self.val, tuple(map(operator.mul, self.coeffs, repeat(other))))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return ZERO
         a, b = self.coeffs, other.coeffs
-        if min(len(a), len(b)) < KRONECKER_MIN_LEN:
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:  # a monomial factor scales and shifts the other one
+            c = b[0]
+            out = a if c == 1 else tuple(map(operator.mul, a, repeat(c)))
+        elif min(len(a), len(b)) < KRONECKER_MIN_LEN:
             out = _schoolbook_mul(a, b)
         else:
             out = _kronecker_mul(a, b)

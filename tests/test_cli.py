@@ -289,6 +289,19 @@ def test_apery_command(capsys):
     assert body["value"] == "1445"
 
 
+def test_apery_past_the_int_text_limit_says_so(capsys):
+    # A(2900) has 4,435 digits, more than CPython's default 4,300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "apery", "--n", "2900", "--format", fmt)
+        if 0 < limit < 4435:
+            assert (code, out) == (2, "")
+            assert err.count("\n") == 1 and "PYTHONINTMAXSTRDIGITS" in err
+        else:
+            value = out.strip() if fmt == "text" else json.loads(out)["value"]
+            assert code == 0 and len(value) == 4435
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -372,6 +385,15 @@ def test_every_suite_passes_on_small_ranges(capsys, suite, flags):
     assert code == 0
     checked, passed = out.split(",")[0], out.split(",")[1]
     assert checked.split()[1] == passed.strip().split()[1]
+
+
+@pytest.mark.parametrize("suite", ["qbt", "ncqbt", "freshman"])
+@pytest.mark.parametrize("trunc", ["0", "-3"])
+def test_verify_truncation_below_one_is_usage_error(capsys, suite, trunc):
+    # a zero once ran the sweep at the default truncation
+    code, out, err = run_cli(capsys, "verify", suite, "--trunc", trunc)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "--trunc" in err
 
 
 # -- range parsing --------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Hybrid sets, subset enumeration, and the combinatorial q-binomial oracle."""
 
 import math
+import random
 
 from qneg.hybridset import (
     HybridSet,
+    _sigmas,
     k_subsets,
     qbinom_via_subsets,
     standard_new_set,
@@ -123,6 +125,32 @@ def test_subset_count_equals_abs_binom():
     for n in BOX:
         for k in BOX:
             assert subset_count(n, k) == abs(binom(n, k))
+
+
+def test_sigma_stream_is_the_subset_stream():
+    # the oracle reads sigma from the combination streams; k_subsets and
+    # HybridSet.sigma are the definitions it must reproduce, in order
+    for n in range(-9, 10):
+        for k in range(-9, 10):
+            subsets = list(k_subsets(n, k))
+            assert list(_sigmas(n, k)) == [y.sigma() for y in subsets], (n, k)
+            assert subset_count(n, k) == len(subsets)
+
+
+def test_oracle_equivalence_on_larger_shapes():
+    # shapes as large as an identity sweep beyond the box draws: |n|, |k| <= 40
+    # and at most 5,000 subsets, ten in each nonzero region
+    rng = random.Random(20180207)
+    shapes = {reg: [] for reg in (Region.CLASSICAL, Region.NEGATIVE_N, Region.DOUBLE_NEGATIVE)}
+    while any(len(found) < 10 for found in shapes.values()):
+        n, k = rng.randint(-40, 40), rng.randint(-40, 40)
+        found = shapes.get(region(n, k))
+        if found is None or len(found) == 10 or (n, k) in found:
+            continue
+        if 50 <= abs(binom(n, k)) <= 5000:
+            found.append((n, k))
+    for n, k in sum(shapes.values(), []):
+        assert qbinom_via_subsets(n, k) == qbinom(n, k), (n, k)
 
 
 def test_enumerated_subsets_are_well_formed():

@@ -2,7 +2,9 @@
 
 The Kronecker product must equal the schoolbook convolution exactly, and the
 folded test for congruence modulo Phi_m must give the verdict of dividing the
-difference by Phi_m.
+difference by Phi_m.  Sums, negation, scaling and products with a monomial
+must equal the per-coefficient loops they replaced, every result must be
+canonical, and ``LaurentPoly`` must satisfy the ring laws.
 """
 
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 from qneg.congruence import q_lucas_rhs
 from qneg.laurent import (
     KRONECKER_MIN_LEN,
+    ONE,
+    ZERO,
     LaurentPoly,
     _kronecker_mul,
     _schoolbook_mul,
@@ -64,3 +68,121 @@ def test_folded_congruence_on_q_lucas_and_negative_controls(n, k, m, j):
     control = rhs + LaurentPoly.q_power(j)
     assert not congruent_mod(lhs, control, mod)
     assert not divides(mod.phi, lhs - control)
+
+
+# -- sums, negation, scaling and monomial products --------------------------
+#
+# The references are the per-coefficient loops these operations ran before
+# they became slice and ``map`` operations, copied verbatim.
+
+
+def reference_add(self, other):
+    if isinstance(other, int):
+        other = LaurentPoly.constant(other)
+    if not isinstance(other, LaurentPoly):
+        return NotImplemented
+    if not self.coeffs:
+        return other
+    if not other.coeffs:
+        return self
+    lo = min(self.val, other.val)
+    hi = max(self.degree(), other.degree())
+    coeffs = [0] * (hi - lo + 1)
+    for i, c in enumerate(self.coeffs):
+        coeffs[self.val + i - lo] += c
+    for i, c in enumerate(other.coeffs):
+        coeffs[other.val + i - lo] += c
+    return LaurentPoly(lo, coeffs)
+
+
+def reference_neg(self):
+    return LaurentPoly(self.val, tuple(-c for c in self.coeffs))
+
+
+def reference_scale(self, other):
+    return LaurentPoly(self.val, tuple(c * other for c in self.coeffs))
+
+
+def assert_canonical(p):
+    assert type(p) is LaurentPoly and type(p.coeffs) is tuple
+    if p.coeffs:
+        assert p.coeffs[0] != 0 and p.coeffs[-1] != 0
+    else:
+        assert p.val == 0
+
+
+# Zero and units are where the new branches are taken; both signs throughout.
+edge_coefficient = st.one_of(st.sampled_from([0, 1, -1]), coefficient)
+# Lengths 0..48 and valuations down to -60, so sums overlap, nest and leave
+# gaps, and leading or trailing terms cancel.
+short_laurent = st.builds(
+    LaurentPoly, st.integers(-60, 60), st.lists(edge_coefficient, max_size=48)
+)
+scalar = st.one_of(st.sampled_from([0, 1, -1]), coefficient)
+monomial = st.builds(
+    LaurentPoly.q_power,
+    st.integers(-60, 60),
+    st.one_of(st.sampled_from([1, -1]), st.integers(-(2**200), 2**200).filter(bool)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(short_laurent, short_laurent, scalar)
+def test_sum_and_negation_are_the_coefficient_loops(a, b, c):
+    for value, expect in (
+        (a + b, reference_add(a, b)),
+        (b + a, reference_add(b, a)),
+        (a + (-a), ZERO),
+        (a + c, reference_add(a, c)),
+        (c + a, reference_add(a, c)),
+        (-a, reference_neg(a)),
+        (a - b, reference_add(a, reference_neg(b))),
+        (c - a, reference_add(reference_neg(a), c)),
+    ):
+        assert value == expect
+        assert_canonical(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_laurent, scalar)
+def test_scaling_is_the_coefficient_loop(a, c):
+    expect = reference_scale(a, c)
+    for value in (a * c, c * a):
+        assert value == expect
+        assert_canonical(value)
+    if c == 1:
+        assert a * c is a
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_laurent, monomial)
+def test_monomial_product_scales_and_shifts(a, x):
+    expect = reference_scale(a, x.coeffs[0]).shift(x.val)
+    for value in (a * x, x * a):
+        assert value == expect
+        assert_canonical(value)
+        if a.coeffs:
+            assert value == LaurentPoly(a.val + x.val, _schoolbook_mul(a.coeffs, x.coeffs))
+            if x.coeffs == (1,) and len(a.coeffs) > 1:
+                assert value.coeffs is a.coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_laurent, short_laurent, short_laurent)
+def test_ring_laws(a, b, c):
+    for value, expect in (
+        (a + b, b + a),
+        ((a + b) + c, a + (b + c)),
+        (a + ZERO, a),
+        (a - a, ZERO),
+        (a * b, b * a),
+        ((a * b) * c, a * (b * c)),
+        (a * (b + c), a * b + a * c),
+        ((a + b) * c, a * c + b * c),
+        (a * ONE, a),
+        (a * ZERO, ZERO),
+        (a * -1, -a),
+        (-(a * b), (-a) * b),
+    ):
+        assert value == expect
+        assert_canonical(value)

@@ -64,7 +64,7 @@ class LaurentPoly:
             self.coeffs = ()
         else:
             self.val = val
-            self.coeffs = tuple(coeffs[lo:hi])
+            self.coeffs = tuple(coeffs if hi - lo == len(coeffs) else coeffs[lo:hi])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -167,10 +167,25 @@ class LaurentPoly:
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return -other
+        # copy self over the joint span, then subtract other over its span
+        lo = min(self.val, other.val)
+        hi = max(self.val + len(self.coeffs), other.val + len(other.coeffs))
+        coeffs = [0] * (hi - lo)
+        start = self.val - lo
+        coeffs[start : start + len(self.coeffs)] = self.coeffs
+        start = other.val - lo
+        end = start + len(other.coeffs)
+        coeffs[start:end] = map(operator.sub, coeffs[start:end], other.coeffs)
+        return LaurentPoly(lo, coeffs)
 
-    def __rsub__(self, other: int | LaurentPoly) -> LaurentPoly:
-        return (-self) + other
+    def __rsub__(self, other: int) -> LaurentPoly:
+        if not isinstance(other, int):
+            return NotImplemented
+        return LaurentPoly.constant(other) - self
 
     def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):

@@ -60,26 +60,52 @@ def _classical_coeffs(n: int, k: int) -> list[int]:
 
     Built as the product over i = 1..k of (1 - q^(n-k+i)) / (1 - q^i) with the
     division performed incrementally: every partial quotient is itself a
-    Gaussian polynomial, so each division is exact (checked).  Both steps are
+    Gaussian polynomial [n-k+i, i] of degree i(n-k).  Both steps are
     whole-list operations that run in C, with no Python loop per coefficient.
+
+    The result is palindromic, [n, k](q) = q^(k(n-k)) [n, k](1/q), so only
+    its coefficients up to the middle degree D = k(n-k) // 2 are computed and
+    the rest are mirrored.  Multiplying by 1 - q^top and dividing by 1 - q^i
+    (a running sum) read only lower coefficients, so every step is exact
+    modulo q^(D+1), and each partial quotient is cut to at most D + 1
+    coefficients.  A step that is not cut checks that its division left no
+    remainder; a cut step cannot, and for k >= 1 the last step is always
+    cut, so the mirrored result is checked against its closed-form values
+    at q = 1 and q = -1 instead.
     """
     k = min(k, n - k)
+    deg = k * (n - k)
+    half = deg // 2 + 1
     coeffs = [1]
     for i in range(1, k + 1):
         top = n - k + i
-        # multiply by (1 - q^top)
-        prod = coeffs + [0] * top
+        # multiply by (1 - q^top), modulo q^half
+        prod = coeffs + [0] * min(top, half - len(coeffs))
         prod[top:] = map(operator.sub, prod[top:], coeffs)
         # divide by (1 - q^i): the ascending recurrence g[j] = f[j] + g[j-i]
         # is a running sum along each residue class of j mod i
         for r in range(i):
             prod[r::i] = itertools.accumulate(prod[r::i])
-        width = len(prod) - i
+        # what lies past the quotient's degree i(n-k) is the remainder
+        width = min(i * (n - k) + 1, half)
         if any(prod[width:]):
             raise InvariantError("Gaussian binomial division left a remainder")
         del prod[width:]
         coeffs = prod
+    coeffs += reversed(coeffs[: deg + 1 - half])
+    _check_at_plus_minus_one(n, k, coeffs)
     return coeffs
+
+
+def _check_at_plus_minus_one(n: int, k: int, coeffs: list[int]) -> None:
+    """Raise InvariantError unless the coefficients of [n, k] sum to C(n, k)
+    at q = 1 and to the known value of [n, k] at q = -1: 0 when n is even and
+    k is odd, C(n // 2, k // 2) otherwise."""
+    if sum(coeffs) != math.comb(n, k):
+        raise InvariantError(f"Gaussian binomial [{n}, {k}] is wrong at q = 1")
+    at_minus_one = 0 if n % 2 == 0 and k % 2 else math.comb(n // 2, k // 2)
+    if sum(coeffs[::2]) - sum(coeffs[1::2]) != at_minus_one:
+        raise InvariantError(f"Gaussian binomial [{n}, {k}] is wrong at q = -1")
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,11 +3,18 @@
 import functools
 import itertools
 import math
+import operator
 import random
+import sys
 
-from qneg.laurent import ONE, ZERO, LaurentPoly
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qneg.laurent import ONE, ZERO, InvariantError, LaurentPoly
 from qneg.qbinom import (
     Region,
+    _check_at_plus_minus_one,
     _classical_coeffs,
     binom,
     degree_profile,
@@ -170,6 +177,29 @@ def classical_coeffs_loop(n, k):
     return coeffs
 
 
+def classical_coeffs_slices(n, k):
+    """The whole-length slice kernel the half-length one replaced, kept
+    verbatim as an oracle: the full product of every step is built and each
+    division is checked for a zero remainder."""
+    k = min(k, n - k)
+    coeffs = [1]
+    for i in range(1, k + 1):
+        top = n - k + i
+        # multiply by (1 - q^top)
+        prod = coeffs + [0] * top
+        prod[top:] = map(operator.sub, prod[top:], coeffs)
+        # divide by (1 - q^i): the ascending recurrence g[j] = f[j] + g[j-i]
+        # is a running sum along each residue class of j mod i
+        for r in range(i):
+            prod[r::i] = itertools.accumulate(prod[r::i])
+        width = len(prod) - i
+        if any(prod[width:]):
+            raise InvariantError("Gaussian binomial division left a remainder")
+        del prod[width:]
+        coeffs = prod
+    return coeffs
+
+
 def test_kernel_matches_loop_oracle_exhaustively():
     for n in range(61):
         for k in range(n + 1):
@@ -182,6 +212,40 @@ def test_kernel_matches_loop_oracle_on_random_pairs():
         n = rng.randint(61, 150)
         k = rng.randint(0, n)
         assert _classical_coeffs(n, k) == classical_coeffs_loop(n, k), (n, k)
+
+
+classical_pair = st.integers(0, 300).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(classical_pair)
+def test_kernel_matches_slice_oracle_on_random_pairs(pair):
+    n, k = pair
+    assert _classical_coeffs(n, k) == classical_coeffs_slices(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (7, 3), (10, 3), (12, 6), (61, 30)])
+def test_checksum_catches_a_perturbed_coefficient(n, k):
+    coeffs = classical_coeffs_loop(n, k)
+    _check_at_plus_minus_one(n, k, coeffs)  # the true coefficients pass
+    middle = len(coeffs) // 2
+    coeffs[middle] += 1  # changes the value at q = 1
+    with pytest.raises(InvariantError, match="q = 1"):
+        _check_at_plus_minus_one(n, k, coeffs)
+    coeffs[middle - 1] -= 1  # restores q = 1, moves q = -1 by 2
+    with pytest.raises(InvariantError, match="q = -1"):
+        _check_at_plus_minus_one(n, k, coeffs)
+
+
+def test_kernel_ends_in_the_checksum(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        sys.modules["qneg.qbinom"], "_check_at_plus_minus_one", lambda *a: seen.append(a)
+    )
+    coeffs = _classical_coeffs(10, 7)
+    assert seen == [(10, 3, coeffs)]
 
 
 def test_kernel_properties_on_large_random_pairs():

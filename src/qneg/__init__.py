@@ -5,105 +5,59 @@ The package provides three independent evaluation routes (closed forms, the
 q-Pascal recursion, and subset enumeration over hybrid sets), expansions in
 q-commuting variables, Lucas congruences modulo primes and their q-analogs
 modulo cyclotomic polynomials, and the Apery-number application.
+
+Submodules load on first use (PEP 562): ``import qneg`` loads none of them,
+and ``qneg.<name>`` reads the name from its defining module on every access.
 """
 
-from .apery import apery, verify_apery_congruence, verify_apery_symmetry
-from .congruence import (
-    DigitSplit,
-    PadicDigits,
-    digit_split,
-    is_prime,
-    lucas_product,
-    padic_digits,
-    q_lucas_rhs,
-    verify_lucas,
-    verify_q_lucas,
-)
-from .hybridset import (
-    HybridSet,
-    k_subsets,
-    qbinom_via_subsets,
-    standard_new_set,
-    subset_count,
-)
-from .laurent import (
-    ONE,
-    Q,
-    ZERO,
-    CyclotomicModulus,
-    InvariantError,
-    LaurentPoly,
-    congruent_mod,
-    cyclotomic,
-    cyclotomic_poly,
-    divides,
-)
-from .qbinom import (
-    Region,
-    binom,
-    degree_profile,
-    qbinom,
-    qbinom_pascal,
-    region,
-    sgn,
-    six_forms,
-)
-from .qseries import (
-    Direction,
-    NormalSeries,
-    PowerSeriesInX,
-    freshman_congruence,
-    pochhammer_expansion,
-    power_xy,
-    series_mul,
-    verify_chu_vandermonde,
-)
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "InvariantError",
-    "LaurentPoly",
-    "CyclotomicModulus",
-    "ZERO",
-    "ONE",
-    "Q",
-    "cyclotomic",
-    "cyclotomic_poly",
-    "divides",
-    "congruent_mod",
-    "Region",
-    "sgn",
-    "region",
-    "qbinom",
-    "qbinom_pascal",
-    "binom",
-    "six_forms",
-    "degree_profile",
-    "HybridSet",
-    "standard_new_set",
-    "k_subsets",
-    "subset_count",
-    "qbinom_via_subsets",
-    "Direction",
-    "NormalSeries",
-    "PowerSeriesInX",
-    "series_mul",
-    "power_xy",
-    "pochhammer_expansion",
-    "verify_chu_vandermonde",
-    "freshman_congruence",
-    "DigitSplit",
-    "PadicDigits",
-    "digit_split",
-    "padic_digits",
-    "is_prime",
-    "lucas_product",
-    "verify_lucas",
-    "q_lucas_rhs",
-    "verify_q_lucas",
-    "apery",
-    "verify_apery_symmetry",
-    "verify_apery_congruence",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    name: f"{__name__}.{module}"
+    for module, names in {
+        "laurent": "InvariantError LaurentPoly CyclotomicModulus ZERO ONE Q "
+        "cyclotomic cyclotomic_poly divides congruent_mod",
+        "qbinom": "Region sgn region qbinom qbinom_pascal binom six_forms degree_profile",
+        "hybridset": "HybridSet standard_new_set k_subsets subset_count qbinom_via_subsets",
+        "qseries": "Direction NormalSeries PowerSeriesInX series_mul power_xy "
+        "pochhammer_expansion verify_chu_vandermonde freshman_congruence",
+        "congruence": "DigitSplit PadicDigits digit_split padic_digits is_prime "
+        "lucas_product verify_lucas q_lucas_rhs verify_q_lucas",
+        "apery": "apery verify_apery_symmetry verify_apery_congruence",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    try:
+        return getattr(sys.modules[module], name)
+    except (KeyError, AttributeError):  # not loaded yet, or still loading
+        __import__(module)
+        return getattr(sys.modules[module], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
+
+class _Package(type(sys)):
+    """The package module.  The import system binds each submodule onto its
+    package when it first loads; the submodules `qbinom` and `apery` share
+    their names with exported functions, which must stay the functions."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if not (name in _EXPORTS and isinstance(value, type(sys))):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -5,28 +5,17 @@ Every subcommand is a thin adapter over the library; output formats are
 documented and stable so they can serve as golden fixtures.  Exit status is
 0 on success or all-pass, 1 on verification failure, 2 on usage errors.  A
 reader that closes stdout early (a broken pipe) also gives 0, silently.
+
+Each suite and handler imports the submodules it uses when it runs, so a
+process loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Callable, Iterator
-
-from .apery import apery, verify_apery_congruence, verify_apery_symmetry
-from .congruence import is_prime, lucas_product, q_lucas_rhs, verify_lucas, verify_q_lucas
-from .hybridset import qbinom_via_subsets, subset_count
-from .laurent import ONE, LaurentPoly
-from .qbinom import binom, degree_profile, qbinom, qbinom_pascal, six_forms
-from .qseries import (
-    Direction,
-    freshman_congruence,
-    pochhammer_expansion,
-    power_xy,
-    verify_chu_vandermonde,
-)
+from collections.abc import Callable, Iterator
 
 SCHEMA = "qneg/1"
 
@@ -69,6 +58,15 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def __getattr__(name: str):
+    # The library's public names, as `qneg.cli.qbinom` read when this module
+    # imported them at its top: through the package, on every access.
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _span(rng: tuple[int, int] | None, lo: int, hi: int) -> range:
     if rng is None:
         return range(lo, hi + 1)
@@ -83,6 +81,9 @@ def _span(rng: tuple[int, int] | None, lo: int, hi: int) -> range:
 
 def _suite_pascal(ns) -> Iterator[Case]:
     # q-Pascal, its alternate form, and the absorption identity.
+    from .laurent import ONE, LaurentPoly
+    from .qbinom import qbinom
+
     for n in _span(ns.n, -12, 12):
         for k in _span(ns.k, -12, 12):
             case = f"pascal n={n} k={k}"
@@ -99,6 +100,8 @@ def _suite_pascal(ns) -> Iterator[Case]:
 
 
 def _suite_symmetry(ns) -> Iterator[Case]:
+    from .qbinom import qbinom
+
     for n in _span(ns.n, -12, 12):
         for k in _span(ns.k, -12, 12):
             yield f"symmetry n={n} k={k}", qbinom(n, k) == qbinom(n, n - k)
@@ -106,6 +109,8 @@ def _suite_symmetry(ns) -> Iterator[Case]:
 
 def _suite_reflection(ns) -> Iterator[Case]:
     # All six reflection/symmetry forms must reproduce the coefficient.
+    from .qbinom import qbinom, six_forms
+
     for n in _span(ns.n, -12, 12):
         for k in _span(ns.k, -12, 12):
             lhs = qbinom(n, k)
@@ -114,6 +119,8 @@ def _suite_reflection(ns) -> Iterator[Case]:
 
 
 def _suite_qinv(ns) -> Iterator[Case]:
+    from .qbinom import qbinom
+
     for n in _span(ns.n, -12, 12):
         for k in _span(ns.k, -12, 12):
             v = qbinom(n, k)
@@ -122,6 +129,8 @@ def _suite_qinv(ns) -> Iterator[Case]:
 
 
 def _suite_degrees(ns) -> Iterator[Case]:
+    from .qbinom import degree_profile, qbinom
+
     for n in _span(ns.n, -12, 12):
         for k in _span(ns.k, -12, 12):
             v = qbinom(n, k)
@@ -134,6 +143,9 @@ def _suite_degrees(ns) -> Iterator[Case]:
 
 
 def _suite_subsets(ns) -> Iterator[Case]:
+    from .hybridset import qbinom_via_subsets, subset_count
+    from .qbinom import binom, qbinom, qbinom_pascal
+
     for n in _span(ns.n, -7, 7):
         for k in _span(ns.k, -7, 7):
             ok = qbinom_via_subsets(n, k) == qbinom(n, k)
@@ -143,6 +155,8 @@ def _suite_subsets(ns) -> Iterator[Case]:
 
 
 def _suite_chu(ns) -> Iterator[Case]:
+    from .qseries import verify_chu_vandermonde
+
     nspan, mspan, kspan = _span(ns.n, -5, 5), _span(ns.m, -5, 5), _span(ns.k, -6, 6)
     for n in nspan:
         for m in mspan:
@@ -156,6 +170,9 @@ def _suite_chu(ns) -> Iterator[Case]:
 
 def _suite_qbt(ns) -> Iterator[Case]:
     # Commutative q-binomial theorem for the shifted factorial.
+    from .qbinom import qbinom
+    from .qseries import pochhammer_expansion
+
     trunc = 10 if ns.trunc is None else ns.trunc
     for n in _span(ns.n, -5, 5):
         series = pochhammer_expansion(n, trunc)
@@ -166,6 +183,9 @@ def _suite_qbt(ns) -> Iterator[Case]:
 
 def _suite_ncqbt(ns) -> Iterator[Case]:
     # Noncommutative binomial theorem, both expansion directions.
+    from .qbinom import qbinom
+    from .qseries import Direction, power_xy
+
     trunc = 10 if ns.trunc is None else ns.trunc
     for n in _span(ns.n, -6, 6):
         from_zero = power_xy(n, Direction.FROM_ZERO, trunc)
@@ -177,6 +197,9 @@ def _suite_ncqbt(ns) -> Iterator[Case]:
 
 
 def _suite_lucas(ns) -> Iterator[Case]:
+    from .congruence import is_prime, lucas_product, verify_lucas
+    from .qbinom import binom
+
     primes = [p for p in _span(ns.p, 2, 11) if is_prime(p)]
     for p in primes:
         for n in _span(ns.n, -50, 50):
@@ -187,6 +210,8 @@ def _suite_lucas(ns) -> Iterator[Case]:
 
 
 def _suite_qlucas(ns) -> Iterator[Case]:
+    from .congruence import verify_q_lucas
+
     for m in _span(ns.m, 2, 9):
         for n in _span(ns.n, -15, 15):
             for k in _span(ns.k, -15, 15):
@@ -194,6 +219,8 @@ def _suite_qlucas(ns) -> Iterator[Case]:
 
 
 def _suite_freshman(ns) -> Iterator[Case]:
+    from .qseries import freshman_congruence
+
     for m in _span(ns.m, 2, 12):
         yield f"freshman m={m}", freshman_congruence(m, ns.trunc)
 
@@ -208,6 +235,8 @@ APERY_CONGRUENCE_CASES = (
 
 
 def _suite_apery(ns) -> Iterator[Case]:
+    from .apery import verify_apery_congruence, verify_apery_symmetry
+
     for n in _span(ns.n, 0, 25):
         yield f"apery symmetry n={n}", verify_apery_symmetry(n)
     for p, r, m, variant in APERY_CONGRUENCE_CASES:
@@ -235,18 +264,23 @@ SUITES: dict[str, Callable[[argparse.Namespace], Iterator[Case]]] = {
 # -- subcommand handlers ------------------------------------------------------
 
 
+def _print_json(body: dict) -> None:
+    import json
+
+    print(json.dumps({"schema": SCHEMA, **body}))
+
+
 def _emit(ns, text: str, body: dict) -> None:
     if ns.format == "json":
-        body = {"schema": SCHEMA, **body}
-        print(json.dumps(body))
+        _print_json(body)
     else:
         print(text)
 
 
-def _value_size(n: int, k: int, q1: bool) -> int:
-    """The coefficients of qbinom(n, k), from degree_profile, or with q1 an
-    upper bound on the decimal digits of binom(n, k); a zero counts as one."""
-    profile = degree_profile(n, k)
+def _value_size(n: int, k: int, q1: bool, profile: tuple[int, int] | None) -> int:
+    """The coefficients of qbinom(n, k), from its degree_profile, or with q1
+    an upper bound on the decimal digits of binom(n, k); a zero counts as
+    one."""
     if profile is None:
         return 1
     if not q1:
@@ -264,7 +298,11 @@ def _check_size(n_values: range, k_values: range, q1: bool) -> None:
     MAX_COEFFICIENTS coefficients, or with q1 digits, in all."""
     total = len(n_values) * len(k_values)  # each value counts one or more
     if total <= MAX_COEFFICIENTS:
-        total = sum(_value_size(n, k, q1) for n in n_values for k in k_values)
+        from .qbinom import degree_profile
+
+        total = sum(
+            _value_size(n, k, q1, degree_profile(n, k)) for n in n_values for k in k_values
+        )
     if total > MAX_COEFFICIENTS:
         unit = "digits" if q1 else "coefficients"
         raise ValueError(
@@ -273,24 +311,26 @@ def _check_size(n_values: range, k_values: range, q1: bool) -> None:
         )
 
 
+def _too_long(name: str) -> ValueError:
+    return ValueError(
+        f"{name} has more than {sys.get_int_max_str_digits():,} "
+        "digits, the most this Python writes out (see PYTHONINTMAXSTRDIGITS)"
+    )
+
+
 def _int_text(value: int, name: str) -> str:
     try:
         return str(value)
     except ValueError:  # longer than sys.get_int_max_str_digits()
-        raise ValueError(
-            f"{name} has more than {sys.get_int_max_str_digits():,} "
-            "digits, the most this Python writes out (see PYTHONINTMAXSTRDIGITS)"
-        ) from None
-
-
-def _q1_text(n: int, k: int) -> str:
-    return _int_text(binom(n, k), f"binom({n}, {k})")
+        raise _too_long(name) from None
 
 
 def _cmd_eval(ns) -> int:
     _check_size(range(ns.n, ns.n + 1), range(ns.k, ns.k + 1), ns.q1)
+    from .qbinom import binom, qbinom
+
     if ns.q1:
-        value = _q1_text(ns.n, ns.k)
+        value = _int_text(binom(ns.n, ns.k), f"binom({ns.n}, {ns.k})")
     else:
         value = qbinom(ns.n, ns.k)
     _emit(
@@ -311,22 +351,24 @@ def _cmd_table(ns) -> int:
     n_lo, n_hi = ns.n
     k_lo, k_hi = ns.k
     _check_size(range(n_lo, n_hi + 1), range(k_lo, k_hi + 1), ns.q1)
+    from .qbinom import binom, qbinom
+
     cells = []
     for n in range(n_lo, n_hi + 1):
         for k in range(k_lo, k_hi + 1):
-            value = _q1_text(n, k) if ns.q1 else qbinom(n, k)
+            value = _int_text(binom(n, k), f"binom({n}, {k})") if ns.q1 else qbinom(n, k)
             cells.append((n, k, value))
     if ns.format == "json":
-        body = {
-            "schema": SCHEMA,
-            "command": "table",
-            "q1": bool(ns.q1),
-            "cells": [
-                {"n": n, "k": k, "value": v if ns.q1 else v.to_json_dict()}
-                for n, k, v in cells
-            ],
-        }
-        print(json.dumps(body))
+        _print_json(
+            {
+                "command": "table",
+                "q1": bool(ns.q1),
+                "cells": [
+                    {"n": n, "k": k, "value": v if ns.q1 else v.to_json_dict()}
+                    for n, k, v in cells
+                ],
+            }
+        )
     else:
         ks = range(k_lo, k_hi + 1)
         print("n\\k\t" + "\t".join(str(k) for k in ks))
@@ -338,6 +380,8 @@ def _cmd_table(ns) -> int:
 
 
 def _cmd_expand(ns) -> int:
+    from .qseries import Direction, pochhammer_expansion, power_xy
+
     if ns.mode == "pochhammer":
         series = pochhammer_expansion(ns.n, ns.trunc)
         ks = list(range(ns.trunc))
@@ -355,15 +399,15 @@ def _cmd_expand(ns) -> int:
         )
         coeff = series.coefficient
     if ns.format == "json":
-        body = {
-            "schema": SCHEMA,
-            "command": "expand",
-            "n": ns.n,
-            "mode": ns.mode,
-            "truncation": ns.trunc,
-            "terms": [{"k": k, "value": coeff(k).to_json_dict()} for k in ks],
-        }
-        print(json.dumps(body))
+        _print_json(
+            {
+                "command": "expand",
+                "n": ns.n,
+                "mode": ns.mode,
+                "truncation": ns.trunc,
+                "terms": [{"k": k, "value": coeff(k).to_json_dict()} for k in ks],
+            }
+        )
     else:
         for k in ks:
             print(f"C({k}) = {coeff(k)}")
@@ -371,6 +415,8 @@ def _cmd_expand(ns) -> int:
 
 
 def _cmd_lucas(ns) -> int:
+    from .congruence import lucas_product
+
     residue = lucas_product(ns.n, ns.k, ns.p)
     _emit(
         ns,
@@ -381,6 +427,8 @@ def _cmd_lucas(ns) -> int:
 
 
 def _cmd_qlucas(ns) -> int:
+    from .congruence import q_lucas_rhs
+
     rhs = q_lucas_rhs(ns.n, ns.k, ns.m)
     _emit(
         ns,
@@ -397,6 +445,18 @@ def _cmd_qlucas(ns) -> int:
 
 
 def _cmd_apery(ns) -> int:
+    import math
+
+    from .apery import apery
+
+    # A(n) = A(-n - 1) is at least its k = m term, C(2m, m)^2 >= 16^m / (4m),
+    # so it has more than 2m log10(4) - log10(4m) digits.  For m >= limit
+    # that bound is past the limit already, so m is capped there to keep the
+    # float small; the + 1 absorbs rounding.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    m = min(max(ns.n, -ns.n - 1), limit)
+    if limit and m and 2 * m * math.log10(4) - math.log10(4 * m) > limit + 1:
+        raise _too_long(f"A({ns.n})")
     value = _int_text(apery(ns.n), f"A({ns.n})")
     _emit(ns, value, {"command": "apery", "n": ns.n, "value": value})
     return 0
@@ -417,16 +477,16 @@ def _cmd_verify(ns) -> int:
         else:
             failures.append(case)
     if ns.format == "json":
-        body = {
-            "schema": SCHEMA,
-            "command": "verify",
-            "suite": ns.suite,
-            "checked": checked,
-            "passed": passed,
-            "skipped": skipped,
-            "failures": failures,
-        }
-        print(json.dumps(body))
+        _print_json(
+            {
+                "command": "verify",
+                "suite": ns.suite,
+                "checked": checked,
+                "passed": passed,
+                "skipped": skipped,
+                "failures": failures,
+            }
+        )
     else:
         for case in failures:
             print(f"FAIL {case}", file=sys.stderr)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import accumulate, repeat
-from typing import Iterator, Mapping, Sequence
 
 __all__ = [
     "InvariantError",

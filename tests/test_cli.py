@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import qneg.cli as cli
+from qneg.apery import apery
 from qneg.laurent import LaurentPoly
-from qneg.qbinom import binom, qbinom
+from qneg.qbinom import binom, degree_profile, qbinom
 
 
 def run_cli(capsys, *argv):
@@ -165,7 +166,8 @@ def test_size_limit_sums_the_cells_of_a_table(capsys, monkeypatch):
 def test_q1_size_bound_covers_every_value():
     for n in range(-40, 41):
         for k in range(-40, 41):
-            assert cli._value_size(n, k, q1=True) >= len(str(abs(binom(n, k))))
+            size = cli._value_size(n, k, True, degree_profile(n, k))
+            assert size >= len(str(abs(binom(n, k))))
 
 
 def test_eval_q1_too_large_exits_two_at_once():
@@ -302,6 +304,69 @@ def test_apery_past_the_int_text_limit_says_so(capsys):
             assert code == 0 and len(value) == 4435
 
 
+@pytest.fixture
+def int_text_limit():
+    """Set sys.set_int_max_str_digits for one test, then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-text limit")
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_apery_far_past_the_int_text_limit_exits_two_at_once(fmt):
+    # A(200000) has about 306,000 digits: computing it takes over 20 s and
+    # then cannot be written out, so it is refused before it starts
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-text limit")
+    root = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=root, PYTHONINTMAXSTRDIGITS="4300")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qneg", "apery", "--n", "200000", "--format", fmt],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: A(200000) has more than 4,300 digits, the most this Python "
+        "writes out (see PYTHONINTMAXSTRDIGITS)\n"
+    )
+
+
+def test_apery_refuses_no_value_that_fits(capsys, int_text_limit):
+    # at the smallest limit, 640 digits, A(n) first overflows it at n = 422;
+    # the bound refuses from n = 536 on, and never below
+    int_text_limit(0)
+    fits = [apery(n) < 10**640 for n in range(600)]
+    int_text_limit(640)
+    for n in (*range(600), *range(-600, 0, 7)):
+        code, out, err = run_cli(capsys, "apery", "--n", str(n))
+        if fits[max(n, -n - 1)]:
+            assert (code, err) == (0, "") and len(out) <= 641
+        else:
+            assert (code, out) == (2, "") and f"A({n}) has more than 640 digits" in err
+
+
+def test_apery_refusal_comes_before_the_computation(capsys, monkeypatch, int_text_limit):
+    calls = []
+    monkeypatch.setattr(sys.modules["qneg.apery"], "apery", calls.append)
+    int_text_limit(640)
+    for n in ("536", "-537", "600", str(10**40)):
+        assert run_cli(capsys, "apery", "--n", n)[0] == 2
+    assert calls == []
+    assert run_cli(capsys, "apery", "--n", "535")[0] == 0  # computed, then refused
+    assert calls == [535]
+
+
+def test_apery_with_no_int_text_limit_is_never_refused(capsys, int_text_limit):
+    int_text_limit(0)
+    code, out, _ = run_cli(capsys, "apery", "--n", "3000")
+    assert code == 0 and out.strip() == str(apery(3000))
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -424,10 +489,15 @@ def test_negative_option_values_stay_values_or_errors(capsys):
 
 
 def test_import_leaves_dataclasses_unloaded():
-    # `import dataclasses` pulls in inspect, ast, dis and tokenize, which
-    # every qneg process would pay for; -S keeps site hooks out of the count
+    # `import dataclasses` pulls in inspect, ast, dis and tokenize, and
+    # `typing` costs about 17 ms cold, which every qneg process would pay
+    # for; -S keeps site hooks out of the count.  The star import loads
+    # every submodule.
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    probe = "import sys, qneg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = (
+        "import sys, qneg.cli; from qneg import *; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )

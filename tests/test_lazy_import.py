@@ -1,0 +1,110 @@
+"""Lazy loading: `import qneg` loads no submodule, a `qneg` process loads
+only the submodules its command uses, and every public name reads through
+its defining module."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import qneg
+import qneg.cli
+
+SRC = str(Path(qneg.__file__).resolve().parent.parent)
+
+PUBLIC = {
+    "InvariantError", "LaurentPoly", "CyclotomicModulus", "ZERO", "ONE", "Q",
+    "cyclotomic", "cyclotomic_poly", "divides", "congruent_mod",
+    "Region", "sgn", "region", "qbinom", "qbinom_pascal", "binom", "six_forms",
+    "degree_profile",
+    "HybridSet", "standard_new_set", "k_subsets", "subset_count", "qbinom_via_subsets",
+    "Direction", "NormalSeries", "PowerSeriesInX", "series_mul", "power_xy",
+    "pochhammer_expansion", "verify_chu_vandermonde", "freshman_congruence",
+    "DigitSplit", "PadicDigits", "digit_split", "padic_digits", "is_prime",
+    "lucas_product", "verify_lucas", "q_lucas_rhs", "verify_q_lucas",
+    "apery", "verify_apery_symmetry", "verify_apery_congruence",
+    "__version__",
+}  # fmt: skip
+
+
+def python_s(*args):
+    """Run a fresh `python -S` (no site hooks) on the package's sources."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-S", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+def test_import_loads_no_submodule():
+    proc = python_s("-c", "import sys, qneg; print(sorted(m for m in sys.modules if 'qneg' in m))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['qneg']\n", "")
+
+
+def test_verify_symmetry_loads_only_what_it_uses():
+    # -X importtime lists on stderr every module the process imports
+    proc = python_s("-X", "importtime", "-m", "qneg", "verify", "symmetry")
+    assert (proc.returncode, proc.stdout) == (0, "checked 625, passed 625\n")
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()}
+    assert {m for m in loaded if m.startswith("qneg.")} == {"qneg.cli", "qneg.laurent", "qneg.qbinom"}
+    assert "json" not in loaded and "typing" not in loaded
+
+
+ORDERS = [
+    ["laurent", "qbinom", "hybridset", "qseries", "congruence", "apery", "cli"],
+    ["cli", "apery", "congruence", "qseries", "hybridset", "qbinom", "laurent"],
+    ["congruence", "qbinom", "apery"],
+    ["apery", "qbinom"],
+    ["qbinom", "apery"],
+    ["hybridset", "qseries"],
+]
+
+CLASH_PROBE = """
+import importlib, sys
+for order in {orders!r}:
+    for name in [m for m in sys.modules if m == "qneg" or m.startswith("qneg.")]:
+        del sys.modules[name]
+    for module in order:
+        importlib.import_module("qneg." + module)
+    import qneg
+    import qneg.qbinom as qbinom_name
+    from qneg import apery as apery_name
+    found = [qneg.qbinom, qneg.apery, qbinom_name, apery_name]
+    print(order, [type(x).__name__ for x in found], qbinom_name(4, 2).eval_at_one(), apery_name(3))
+"""
+
+
+def test_clashing_names_stay_the_functions_in_every_import_order():
+    # qneg.qbinom and qneg.apery are each a submodule and an exported
+    # function; the import system binds a submodule onto the package
+    proc = python_s("-c", CLASH_PROBE.format(orders=ORDERS))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(ORDERS)
+    for order, line in zip(ORDERS, lines):
+        kinds = "['_lru_cache_wrapper', 'function', '_lru_cache_wrapper', 'function']"
+        assert line == f"{order} {kinds} 6 1445"
+
+
+def test_star_import_and_dir_cover_all():
+    assert set(qneg.__all__) == PUBLIC and len(qneg.__all__) == len(PUBLIC)
+    namespace = {}
+    exec("from qneg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+    assert all(namespace[name] is getattr(qneg, name) for name in PUBLIC)
+    assert PUBLIC <= set(dir(qneg))
+
+
+def test_each_name_reads_through_its_defining_module(monkeypatch):
+    for name in PUBLIC - {"__version__"}:
+        value = getattr(qneg, name)
+        module = importlib.import_module(value.__module__)
+        assert module.__name__.startswith("qneg.") and getattr(module, name) is value
+        assert name not in vars(qneg)  # no copy to go stale
+        patched = object()
+        monkeypatch.setattr(module, name, patched)
+        assert getattr(qneg, name) is patched and getattr(qneg.cli, name) is patched
+        monkeypatch.undo()
+        assert getattr(qneg, name) is value and getattr(qneg.cli, name) is value
+    assert not isinstance(qneg.qbinom, ModuleType) and not isinstance(qneg.apery, ModuleType)

@@ -281,6 +281,15 @@ def test_binom_matches_eval_at_one():
             assert binom(n, k) == qbinom(n, k).eval_at_one()
 
 
+def test_binom_matches_eval_at_one_exhaustively():
+    # binom tells the regions apart by sign tests, without `region`; the
+    # cache is cleared after each row, so that its peak stays small
+    for n in range(-60, 61):
+        for k in range(-60, 61):
+            assert binom(n, k) == qbinom(n, k).eval_at_one(), (n, k)
+        qbinom.cache_clear()
+
+
 def test_binom_classical_is_comb():
     for n in range(0, 12):
         for k in range(0, n + 1):

@@ -1,10 +1,12 @@
 """Command-line front end: evaluation, tables, expansions, and verification
 sweeps over every identity the library implements.
 
-Every subcommand is a thin adapter over the library; output formats are
-documented and stable so they can serve as golden fixtures.  Exit status is
-0 on success or all-pass, 1 on verification failure, 2 on usage errors.  A
-reader that closes stdout early (a broken pipe) also gives 0, silently.
+Every subcommand is a thin adapter over the library and one row of the
+COMMANDS table, which drives its parser, its handler and its JSON body.
+Output formats are documented and stable so they can serve as golden
+fixtures.  Exit status is 0 on success or all-pass, 1 on verification
+failure, 2 on usage errors.  A reader that closes stdout early (a broken
+pipe) also gives 0, silently.
 
 Each suite and handler imports the submodules it uses when it runs, so a
 process loads only those.
@@ -15,7 +17,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 
 SCHEMA = "qneg/1"
 
@@ -75,7 +78,7 @@ def _span(rng: tuple[int, int] | None, lo: int, hi: int) -> range:
 
 # -- verification suites ----------------------------------------------------
 #
-# Each suite streams (case id, outcome) in sorted case order; the aggregate
+# Each suite streams (case id, outcome) in a fixed order; the aggregate
 # report is therefore deterministic however the sweep is scheduled.
 
 
@@ -261,20 +264,21 @@ SUITES: dict[str, Callable[[argparse.Namespace], Iterator[Case]]] = {
 }
 
 
-# -- subcommand handlers ------------------------------------------------------
+# -- subcommands --------------------------------------------------------------
 
 
-def _print_json(body: dict) -> None:
-    import json
-
-    print(json.dumps({"schema": SCHEMA, **body}))
-
-
-def _emit(ns, text: str, body: dict) -> None:
+def _emit(ns, lines: Callable[[], Iterable[str]], body: Callable[[], dict]) -> None:
+    """Print a result: with --format json, body() as one JSON line after the
+    schema and the command; otherwise each of lines().  Only the form asked
+    for is built, and Laurent polynomials serialize through to_json_dict."""
     if ns.format == "json":
-        _print_json(body)
+        import json
+
+        head = {"schema": SCHEMA, "command": ns.command}
+        print(json.dumps({**head, **body()}, default=lambda poly: poly.to_json_dict()))
     else:
-        print(text)
+        for line in lines():
+            print(line)
 
 
 def _value_size(n: int, k: int, q1: bool, profile: tuple[int, int] | None) -> int:
@@ -295,14 +299,16 @@ def _value_size(n: int, k: int, q1: bool, profile: tuple[int, int] | None) -> in
 
 def _check_size(n_values: range, k_values: range, q1: bool) -> None:
     """Refuse, as a usage error, a grid whose values hold more than
-    MAX_COEFFICIENTS coefficients, or with q1 digits, in all."""
+    MAX_COEFFICIENTS coefficients, or with q1 digits, in all.  The count
+    stops at the first value that takes it past the limit."""
     total = len(n_values) * len(k_values)  # each value counts one or more
     if total <= MAX_COEFFICIENTS:
+        from itertools import accumulate
+
         from .qbinom import degree_profile
 
-        total = sum(
-            _value_size(n, k, q1, degree_profile(n, k)) for n in n_values for k in k_values
-        )
+        sizes = (_value_size(n, k, q1, degree_profile(n, k)) for n in n_values for k in k_values)
+        total = next((t for t in accumulate(sizes) if t > MAX_COEFFICIENTS), 0)
     if total > MAX_COEFFICIENTS:
         unit = "digits" if q1 else "coefficients"
         raise ValueError(
@@ -325,126 +331,34 @@ def _int_text(value: int, name: str) -> str:
         raise _too_long(name) from None
 
 
-def _cmd_eval(ns) -> int:
-    _check_size(range(ns.n, ns.n + 1), range(ns.k, ns.k + 1), ns.q1)
+def _grid(n_values: range, k_values: range, q1: bool) -> list[list]:
+    """The rows of values over n_values x k_values, after the size guard:
+    Laurent polynomials, or with q1 the decimal text of the integers."""
+    _check_size(n_values, k_values, q1)
     from .qbinom import binom, qbinom
 
-    if ns.q1:
-        value = _int_text(binom(ns.n, ns.k), f"binom({ns.n}, {ns.k})")
-    else:
-        value = qbinom(ns.n, ns.k)
-    _emit(
-        ns,
-        str(value),
-        {
-            "command": "eval",
-            "n": ns.n,
-            "k": ns.k,
-            "q1": bool(ns.q1),
-            "value": value if ns.q1 else value.to_json_dict(),
-        },
-    )
-    return 0
+    if q1:
+        return [[_int_text(binom(n, k), f"binom({n}, {k})") for k in k_values] for n in n_values]
+    return [[qbinom(n, k) for k in k_values] for n in n_values]
 
 
-def _cmd_table(ns) -> int:
-    n_lo, n_hi = ns.n
-    k_lo, k_hi = ns.k
-    _check_size(range(n_lo, n_hi + 1), range(k_lo, k_hi + 1), ns.q1)
-    from .qbinom import binom, qbinom
-
-    cells = []
-    for n in range(n_lo, n_hi + 1):
-        for k in range(k_lo, k_hi + 1):
-            value = _int_text(binom(n, k), f"binom({n}, {k})") if ns.q1 else qbinom(n, k)
-            cells.append((n, k, value))
-    if ns.format == "json":
-        _print_json(
-            {
-                "command": "table",
-                "q1": bool(ns.q1),
-                "cells": [
-                    {"n": n, "k": k, "value": v if ns.q1 else v.to_json_dict()}
-                    for n, k, v in cells
-                ],
-            }
-        )
-    else:
-        ks = range(k_lo, k_hi + 1)
-        print("n\\k\t" + "\t".join(str(k) for k in ks))
-        width = len(ks)
-        for i in range(0, len(cells), width):
-            row = cells[i : i + width]
-            print(str(row[0][0]) + "\t" + "\t".join(str(v) for _, _, v in row))
-    return 0
+def _eval(ns):
+    return _grid(range(ns.n, ns.n + 1), range(ns.k, ns.k + 1), ns.q1)[0][0]
 
 
-def _cmd_expand(ns) -> int:
-    from .qseries import Direction, pochhammer_expansion, power_xy
-
-    if ns.mode == "pochhammer":
-        series = pochhammer_expansion(ns.n, ns.trunc)
-        ks = list(range(ns.trunc))
-        coeff = series.coefficient
-    else:
-        direction = (
-            Direction.FROM_ZERO
-            if ns.mode == "noncommutative-from-zero"
-            else Direction.FROM_INFINITY
-        )
-        series = power_xy(ns.n, direction, ns.trunc)
-        lo, hi = series.window()
-        ks = list(range(lo, hi + 1)) if direction is Direction.FROM_ZERO else list(
-            range(hi, lo - 1, -1)
-        )
-        coeff = series.coefficient
-    if ns.format == "json":
-        _print_json(
-            {
-                "command": "expand",
-                "n": ns.n,
-                "mode": ns.mode,
-                "truncation": ns.trunc,
-                "terms": [{"k": k, "value": coeff(k).to_json_dict()} for k in ks],
-            }
-        )
-    else:
-        for k in ks:
-            print(f"C({k}) = {coeff(k)}")
-    return 0
-
-
-def _cmd_lucas(ns) -> int:
+def _lucas(ns) -> int:
     from .congruence import lucas_product
 
-    residue = lucas_product(ns.n, ns.k, ns.p)
-    _emit(
-        ns,
-        str(residue),
-        {"command": "lucas", "n": ns.n, "k": ns.k, "p": ns.p, "residue": residue},
-    )
-    return 0
+    return lucas_product(ns.n, ns.k, ns.p)
 
 
-def _cmd_qlucas(ns) -> int:
+def _qlucas(ns):
     from .congruence import q_lucas_rhs
 
-    rhs = q_lucas_rhs(ns.n, ns.k, ns.m)
-    _emit(
-        ns,
-        str(rhs),
-        {
-            "command": "qlucas",
-            "n": ns.n,
-            "k": ns.k,
-            "m": ns.m,
-            "value": rhs.to_json_dict(),
-        },
-    )
-    return 0
+    return q_lucas_rhs(ns.n, ns.k, ns.m)
 
 
-def _cmd_apery(ns) -> int:
+def _apery(ns) -> str:
     import math
 
     from .apery import apery
@@ -457,8 +371,65 @@ def _cmd_apery(ns) -> int:
     m = min(max(ns.n, -ns.n - 1), limit)
     if limit and m and 2 * m * math.log10(4) - math.log10(4 * m) > limit + 1:
         raise _too_long(f"A({ns.n})")
-    value = _int_text(apery(ns.n), f"A({ns.n})")
-    _emit(ns, value, {"command": "apery", "n": ns.n, "value": value})
+    return _int_text(apery(ns.n), f"A({ns.n})")
+
+
+def _cmd_value(ns) -> int:
+    """A one-value command: its row computes the value, and the JSON body
+    echoes the row's options, then the value under the row's key."""
+    row = COMMANDS[ns.command]
+    value = row.value(ns)
+    inputs = {flag[2:]: getattr(ns, flag[2:]) for flag in row.args}
+    _emit(ns, lambda: [str(value)], lambda: {**inputs, row.key: value})
+    return 0
+
+
+def _cmd_table(ns) -> int:
+    n_values = range(ns.n[0], ns.n[1] + 1)
+    k_values = range(ns.k[0], ns.k[1] + 1)
+    rows = list(zip(n_values, _grid(n_values, k_values, ns.q1)))
+
+    def lines() -> Iterator[str]:
+        yield "n\\k\t" + "\t".join(map(str, k_values))
+        for n, values in rows:
+            yield f"{n}\t" + "\t".join(map(str, values))
+
+    _emit(
+        ns,
+        lines,
+        lambda: {
+            "q1": ns.q1,
+            "cells": [
+                {"n": n, "k": k, "value": v} for n, values in rows for k, v in zip(k_values, values)
+            ],
+        },
+    )
+    return 0
+
+
+def _cmd_expand(ns) -> int:
+    from .qseries import Direction, pochhammer_expansion, power_xy
+
+    if ns.mode == "pochhammer":
+        series = pochhammer_expansion(ns.n, ns.trunc)
+        ks = range(ns.trunc)
+    else:
+        from_zero = ns.mode == "noncommutative-from-zero"
+        direction = Direction.FROM_ZERO if from_zero else Direction.FROM_INFINITY
+        series = power_xy(ns.n, direction, ns.trunc)
+        lo, hi = series.window()
+        ks = range(lo, hi + 1) if from_zero else range(hi, lo - 1, -1)
+    terms = [(k, series.coefficient(k)) for k in ks]
+    _emit(
+        ns,
+        lambda: (f"C({k}) = {c}" for k, c in terms),
+        lambda: {
+            "n": ns.n,
+            "mode": ns.mode,
+            "truncation": ns.trunc,
+            "terms": [{"k": k, "value": c} for k, c in terms],
+        },
+    )
     return 0
 
 
@@ -476,28 +447,85 @@ def _cmd_verify(ns) -> int:
             passed += 1
         else:
             failures.append(case)
-    if ns.format == "json":
-        _print_json(
-            {
-                "command": "verify",
-                "suite": ns.suite,
-                "checked": checked,
-                "passed": passed,
-                "skipped": skipped,
-                "failures": failures,
-            }
-        )
-    else:
+
+    def report() -> Iterator[str]:
         for case in failures:
             print(f"FAIL {case}", file=sys.stderr)
-        line = f"checked {checked}, passed {passed}"
-        if skipped:
-            line += f", skipped {skipped}"
-        print(line)
+        yield f"checked {checked}, passed {passed}" + (f", skipped {skipped}" if skipped else "")
+
+    _emit(
+        ns,
+        report,
+        lambda: {
+            "suite": ns.suite,
+            "checked": checked,
+            "passed": passed,
+            "skipped": skipped,
+            "failures": failures,
+        },
+    )
     return 0 if not failures else 1
 
 
-# -- parser -------------------------------------------------------------------
+# -- command table ------------------------------------------------------------
+#
+# One row per subcommand: its help, its options as add_argument keywords by
+# flag, its handler and its epilog.  A one-value command runs _cmd_value, and
+# its row also gives the function that computes the value and the JSON key
+# the value goes under.
+
+Command = namedtuple(
+    "Command", "help args handler epilog value key", defaults=(None, None, "value")
+)
+
+_INT = {"type": int, "required": True}
+_RANGE = {"type": parse_range, "required": True, "metavar": "LO..HI"}
+_Q1 = {"action": "store_true", "help": "evaluate at q = 1"}
+
+COMMANDS = {
+    "eval": Command(
+        "evaluate one coefficient",
+        {"--n": _INT, "--k": _INT, "--q1": _Q1},
+        _cmd_value,
+        SIZE_NOTE,
+        value=_eval,
+    ),
+    "table": Command(
+        "emit a grid of values", {"--n": _RANGE, "--k": _RANGE, "--q1": _Q1}, _cmd_table, SIZE_NOTE
+    ),
+    "expand": Command(
+        "series expansions",
+        {
+            "--n": _INT,
+            "--mode": {"choices": EXPAND_MODES, "required": True},
+            "--trunc": {"type": int, "default": 16},
+        },
+        _cmd_expand,
+    ),
+    "lucas": Command(
+        "digit-wise binomial residue mod a prime",
+        {"--n": _INT, "--k": _INT, "--p": _INT},
+        _cmd_value,
+        value=_lucas,
+        key="residue",
+    ),
+    "qlucas": Command(
+        "q-Lucas right-hand side mod Phi_m",
+        {"--n": _INT, "--k": _INT, "--m": _INT},
+        _cmd_value,
+        value=_qlucas,
+    ),
+    "apery": Command("Apery number A(n)", {"--n": _INT}, _cmd_value, value=_apery),
+    "verify": Command(
+        "run an identity sweep",
+        {
+            "suite": {"choices": sorted(SUITES)},
+            **dict.fromkeys(RANGE_FLAGS, {**_RANGE, "required": False}),
+            "--trunc": {"type": int},
+        },
+        _cmd_verify,
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,60 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact q-binomial coefficients for all integer arguments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser(
-        "eval", parents=[common], help="evaluate one coefficient", epilog=SIZE_NOTE
-    )
-    p_eval.add_argument("--n", type=int, required=True)
-    p_eval.add_argument("--k", type=int, required=True)
-    p_eval.add_argument("--q1", action="store_true", help="evaluate at q = 1")
-    p_eval.set_defaults(handler=_cmd_eval)
-
-    p_table = sub.add_parser(
-        "table", parents=[common], help="emit a grid of values", epilog=SIZE_NOTE
-    )
-    p_table.add_argument("--n", type=parse_range, required=True, metavar="LO..HI")
-    p_table.add_argument("--k", type=parse_range, required=True, metavar="LO..HI")
-    p_table.add_argument("--q1", action="store_true", help="evaluate at q = 1")
-    p_table.set_defaults(handler=_cmd_table)
-
-    p_expand = sub.add_parser("expand", parents=[common], help="series expansions")
-    p_expand.add_argument("--n", type=int, required=True)
-    p_expand.add_argument("--mode", choices=EXPAND_MODES, required=True)
-    p_expand.add_argument("--trunc", type=int, default=16)
-    p_expand.set_defaults(handler=_cmd_expand)
-
-    p_lucas = sub.add_parser(
-        "lucas", parents=[common], help="digit-wise binomial residue mod a prime"
-    )
-    p_lucas.add_argument("--n", type=int, required=True)
-    p_lucas.add_argument("--k", type=int, required=True)
-    p_lucas.add_argument("--p", type=int, required=True)
-    p_lucas.set_defaults(handler=_cmd_lucas)
-
-    p_qlucas = sub.add_parser(
-        "qlucas", parents=[common], help="q-Lucas right-hand side mod Phi_m"
-    )
-    p_qlucas.add_argument("--n", type=int, required=True)
-    p_qlucas.add_argument("--k", type=int, required=True)
-    p_qlucas.add_argument("--m", type=int, required=True)
-    p_qlucas.set_defaults(handler=_cmd_qlucas)
-
-    p_apery = sub.add_parser("apery", parents=[common], help="Apery number A(n)")
-    p_apery.add_argument("--n", type=int, required=True)
-    p_apery.set_defaults(handler=_cmd_apery)
-
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run an identity sweep"
-    )
-    p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--n", type=parse_range, default=None, metavar="LO..HI")
-    p_verify.add_argument("--k", type=parse_range, default=None, metavar="LO..HI")
-    p_verify.add_argument("--m", type=parse_range, default=None, metavar="LO..HI")
-    p_verify.add_argument("--p", type=parse_range, default=None, metavar="LO..HI")
-    p_verify.add_argument("--trunc", type=int, default=None)
-    p_verify.set_defaults(handler=_cmd_verify)
-
+    for name, row in COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=row.help, epilog=row.epilog)
+        for flag, spec in row.args.items():
+            command.add_argument(flag, **spec)
+        command.set_defaults(handler=row.handler)
     return parser
 
 

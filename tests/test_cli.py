@@ -512,3 +512,74 @@ def test_parse_range():
         cli.parse_range("5..1")
     with pytest.raises(argparse.ArgumentTypeError):
         cli.parse_range("a..b")
+
+
+# -- exact JSON lines ---------------------------------------------------------------
+
+GOLDEN_JSON = [
+    (
+        ["eval", "--n", "-3", "--k", "-5"],
+        '{"schema": "qneg/1", "command": "eval", "n": -3, "k": -5, "q1": false, '
+        '"value": {"valuation": -7, "coefficients": ["1", "1", "2", "1", "1"]}}',
+    ),
+    (
+        ["table", "--n", "-2..-1", "--k", "-1..0", "--q1"],
+        '{"schema": "qneg/1", "command": "table", "q1": true, "cells": ['
+        '{"n": -2, "k": -1, "value": "0"}, {"n": -2, "k": 0, "value": "1"}, '
+        '{"n": -1, "k": -1, "value": "1"}, {"n": -1, "k": 0, "value": "1"}]}',
+    ),
+    (
+        ["expand", "--n", "2", "--mode", "pochhammer", "--trunc", "3"],
+        '{"schema": "qneg/1", "command": "expand", "n": 2, "mode": "pochhammer", '
+        '"truncation": 3, "terms": ['
+        '{"k": 0, "value": {"valuation": 0, "coefficients": ["1"]}}, '
+        '{"k": 1, "value": {"valuation": 0, "coefficients": ["1", "1"]}}, '
+        '{"k": 2, "value": {"valuation": 1, "coefficients": ["1"]}}]}',
+    ),
+    (
+        ["lucas", "--n", "-11", "--k", "-19", "--p", "7"],
+        '{"schema": "qneg/1", "command": "lucas", "n": -11, "k": -19, "p": 7, "residue": 1}',
+    ),
+    (
+        ["qlucas", "--n", "-4", "--k", "-8", "--m", "3"],
+        '{"schema": "qneg/1", "command": "qlucas", "n": -4, "k": -8, "m": 3, '
+        '"value": {"valuation": 0, "coefficients": ["-2", "-2"]}}',
+    ),
+    (
+        ["apery", "--n", "3"],
+        '{"schema": "qneg/1", "command": "apery", "n": 3, "value": "1445"}',
+    ),
+    (
+        ["verify", "pascal", "--n", "-1..1", "--k", "-1..1"],
+        '{"schema": "qneg/1", "command": "verify", "suite": "pascal", '
+        '"checked": 8, "passed": 8, "skipped": 1, "failures": []}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,line", GOLDEN_JSON, ids=[argv[0] for argv, _ in GOLDEN_JSON])
+def test_json_line_is_pinned(capsys, argv, line):
+    # key order and value types: ints stay ints, big integers and
+    # coefficients are decimal strings
+    assert run_cli(capsys, *argv, "--format", "json") == (0, line + "\n", "")
+
+
+
+def test_size_guard_stops_at_the_first_value_past_the_limit(capsys, monkeypatch):
+    # the grid has 1,000,000 cells, within the up-front cell count, but its
+    # values hold about 2.5e11 coefficients: the sum passes the limit within
+    # the first row, so the guard need not profile every cell
+    calls = []
+    qbinom_module = sys.modules["qneg.qbinom"]
+    profile = qbinom_module.degree_profile
+
+    def counted(n, k):
+        calls.append((n, k))
+        return profile(n, k)
+
+    monkeypatch.setattr(qbinom_module, "degree_profile", counted)
+    code, out, err = run_cli(capsys, "table", "--n", "-999..0", "--k", "0..999")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the result is too large") and err.count("\n") == 1
+    assert "the limit is 1,000,000" in err
+    assert 0 < len(calls) < 100

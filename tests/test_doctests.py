@@ -3,11 +3,13 @@
 import doctest
 import importlib
 import pkgutil
+import shlex
 from pathlib import Path
 
 import pytest
 
 import qneg
+import qneg.cli as cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -40,3 +42,35 @@ def test_readme_examples():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.failed == 0, f"{result.failed} of {result.attempted} README examples failed"
     assert result.attempted >= 3  # the examples when this test was written
+
+
+# comments in README's command block that describe a command's output
+# rather than quote its first line
+DESCRIPTIONS = {"grid with zeros on the vanishing region"}
+
+
+def readme_commands():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        commands.append((shlex.split(command), comment.strip()))
+    return commands
+
+
+COMMANDS = readme_commands()
+
+
+def test_readme_command_block_is_found():
+    assert len(COMMANDS) >= 9  # the commands when this test was written
+    assert all(argv[0] == "qneg" for argv, _ in COMMANDS)
+
+
+@pytest.mark.parametrize("argv,comment", COMMANDS, ids=[" ".join(argv[1:]) for argv, _ in COMMANDS])
+def test_readme_command(capsys, argv, comment):
+    code = cli.main(argv[1:])
+    out = capsys.readouterr().out
+    assert code == 0
+    if comment and comment not in DESCRIPTIONS:
+        assert out.splitlines()[0] == comment

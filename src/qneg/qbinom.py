@@ -60,41 +60,58 @@ def _classical_coeffs(n: int, k: int) -> list[int]:
 
     Built as the product over i = 1..k of (1 - q^(n-k+i)) / (1 - q^i) with the
     division performed incrementally: every partial quotient is itself a
-    Gaussian polynomial [n-k+i, i] of degree i(n-k).  Both steps are
+    Gaussian polynomial [n-k+i, i] of degree d = i(n-k).  Both steps are
     whole-list operations that run in C, with no Python loop per coefficient.
 
-    The result is palindromic, [n, k](q) = q^(k(n-k)) [n, k](1/q), so only
-    its coefficients up to the middle degree D = k(n-k) // 2 are computed and
-    the rest are mirrored.  Multiplying by 1 - q^top and dividing by 1 - q^i
-    (a running sum) read only lower coefficients, so every step is exact
-    modulo q^(D+1), and each partial quotient is cut to at most D + 1
-    coefficients.  A step that is not cut checks that its division left no
-    remainder; a cut step cannot, and for k >= 1 the last step is always
-    cut, so the mirrored result is checked against its closed-form values
-    at q = 1 and q = -1 instead.
+    Every partial quotient is palindromic, [N, i](q) = q^d [N, i](1/q), so
+    each step computes its quotient only up to the middle degree d // 2 and
+    i coefficients more, one per residue class mod i; the coefficients past
+    those that the next step reads are mirrored, which copies references and
+    makes no new ints.  Multiplying by 1 - q^top and dividing by 1 - q^i (a
+    running sum) read only lower coefficients, so a step cut short is exact
+    as far as it goes.  The running sums then add about k^2 (n-k) / 4
+    coefficients in all, against k^2 (n-k) / 2 at whole length and
+    3 k^2 (n-k) / 8 when only the final result is halved.
+
+    No step reaches past its quotient's degree, so no step has a remainder
+    to check.  Instead the i coefficients past the middle must equal their
+    mirror partners d - j, or InvariantError is raised; when d // 2 + i
+    reaches d the whole quotient is built and the check covers all of it.
+    The result is checked against its closed-form values at q = 1 and
+    q = -1 as well.
     """
     k = min(k, n - k)
-    deg = k * (n - k)
-    half = deg // 2 + 1
-    coeffs = [1]
+    m = n - k
+    coeffs, prev = [1], 0  # the quotient [m, 0] = 1 and its degree
     for i in range(1, k + 1):
-        top = n - k + i
-        # multiply by (1 - q^top), modulo q^half
-        prod = coeffs + [0] * min(top, half - len(coeffs))
+        top, deg = m + i, i * m
+        mid = deg // 2
+        width = min(mid + 1 + i, deg + 1)
+        _mirror(coeffs, prev, width)
+        # multiply by (1 - q^top), modulo q^width
+        prod = coeffs + [0] * (width - len(coeffs))
         prod[top:] = map(operator.sub, prod[top:], coeffs)
-        # divide by (1 - q^i): the ascending recurrence g[j] = f[j] + g[j-i]
-        # is a running sum along each residue class of j mod i
-        for r in range(i):
-            prod[r::i] = itertools.accumulate(prod[r::i])
-        # what lies past the quotient's degree i(n-k) is the remainder
-        width = min(i * (n - k) + 1, half)
-        if any(prod[width:]):
-            raise InvariantError("Gaussian binomial division left a remainder")
-        del prod[width:]
-        coeffs = prod
-    coeffs += reversed(coeffs[: deg + 1 - half])
+        _divide_by_one_minus_q_power(prod, i)
+        if prod[mid + 1 :] != prod[deg + 1 - width : deg - mid][::-1]:
+            raise InvariantError(f"partial quotient [{top}, {i}] is not palindromic")
+        coeffs, prev = prod, deg
+    _mirror(coeffs, prev, prev + 1)
     _check_at_plus_minus_one(n, k, coeffs)
     return coeffs
+
+
+def _mirror(coeffs: list[int], deg: int, length: int) -> None:
+    """Extend the leading coefficients of a palindrome of degree deg, at least
+    half of them, in place by mirror to min(length, deg + 1) coefficients."""
+    coeffs += reversed(coeffs[deg + 1 - min(length, deg + 1) : deg + 1 - len(coeffs)])
+
+
+def _divide_by_one_minus_q_power(prod: list[int], i: int) -> None:
+    """Divide by (1 - q^i) in place, modulo q^len(prod): the ascending
+    recurrence g[j] = f[j] + g[j-i] is a running sum along each residue
+    class of j mod i."""
+    for r in range(i):
+        prod[r::i] = itertools.accumulate(prod[r::i])
 
 
 def _check_at_plus_minus_one(n: int, k: int, coeffs: list[int]) -> None:

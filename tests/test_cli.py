@@ -278,6 +278,26 @@ def test_lucas_command_rejects_composite(capsys):
     assert "error" in err
 
 
+def test_lucas_command_with_a_large_prime_is_quick():
+    # trial division up to sqrt(p) ran past 20 s here
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    argv = ["lucas", "--n", "-11", "--k", "-19", "--p", "1000000000000000003"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qneg", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "43758\n", "")
+
+
+def test_lucas_command_refuses_a_modulus_past_the_primality_bound(capsys):
+    code, out, err = run_cli(capsys, "lucas", "--n", "1", "--k", "1", "--p", str(2**89 - 1))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: cannot decide whether")
+
+
 def test_qlucas_command(capsys):
     code, out, _ = run_cli(capsys, "qlucas", "--n", "-4", "--k", "-8", "--m", "3")
     assert code == 0

@@ -84,6 +84,53 @@ def test_is_prime():
     assert not is_prime(7917)
 
 
+def is_prime_by_trial_division(p):
+    """The trial-division test Miller-Rabin replaced, kept as an oracle."""
+    if p < 2:
+        return False
+    if p % 2 == 0:
+        return p == 2
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    # __wrapped__ skips the cache, which would only hold the last 4096
+    for p in range(-2, 10**5):
+        assert is_prime.__wrapped__(p) == is_prime_by_trial_division(p), p
+
+
+@pytest.mark.parametrize(
+    "p, prime",
+    [
+        (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5, 7
+        (3825123056546413051, False),  # ... to the first nine prime bases
+        (318665857834031151167461, False),  # ... to the first twelve
+        (211 * 421 * 631, False),  # a Carmichael number, all factors past 41
+        (1000000000000000003, True),
+        (2**61 - 1, True),
+        (3317044064679887385961813, True),  # the largest prime below the bound
+        (3317044064679887385961980, False),
+    ],
+)
+def test_is_prime_on_pseudoprimes_and_large_primes(p, prime):
+    assert is_prime(p) is prime
+    if p < 10**12:
+        assert is_prime_by_trial_division(p) is prime
+
+
+def test_is_prime_refuses_past_its_proven_bound():
+    # 3317044064679887385961981 is a strong pseudoprime to the first 13
+    # prime bases, the smallest there is
+    for p in (3317044064679887385961981, 2**89 - 1, 10**30):
+        with pytest.raises(ValueError, match="cannot decide"):
+            is_prime(p)
+
+
 # -- integer Lucas ------------------------------------------------------------------
 
 

@@ -200,6 +200,34 @@ def classical_coeffs_slices(n, k):
     return coeffs
 
 
+def classical_coeffs_half(n, k):
+    """The kernel that halves only the final result, kept verbatim as an
+    oracle: every partial quotient is built up to D = k(n-k) // 2, steps
+    that are not cut check their remainder, and the rest is mirrored."""
+    k = min(k, n - k)
+    deg = k * (n - k)
+    half = deg // 2 + 1
+    coeffs = [1]
+    for i in range(1, k + 1):
+        top = n - k + i
+        # multiply by (1 - q^top), modulo q^half
+        prod = coeffs + [0] * min(top, half - len(coeffs))
+        prod[top:] = map(operator.sub, prod[top:], coeffs)
+        # divide by (1 - q^i): the ascending recurrence g[j] = f[j] + g[j-i]
+        # is a running sum along each residue class of j mod i
+        for r in range(i):
+            prod[r::i] = itertools.accumulate(prod[r::i])
+        # what lies past the quotient's degree i(n-k) is the remainder
+        width = min(i * (n - k) + 1, half)
+        if any(prod[width:]):
+            raise InvariantError("Gaussian binomial division left a remainder")
+        del prod[width:]
+        coeffs = prod
+    coeffs += reversed(coeffs[: deg + 1 - half])
+    _check_at_plus_minus_one(n, k, coeffs)
+    return coeffs
+
+
 def test_kernel_matches_loop_oracle_exhaustively():
     for n in range(61):
         for k in range(n + 1):
@@ -224,6 +252,39 @@ classical_pair = st.integers(0, 300).flatmap(
 def test_kernel_matches_slice_oracle_on_random_pairs(pair):
     n, k = pair
     assert _classical_coeffs(n, k) == classical_coeffs_slices(n, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(classical_pair)
+def test_kernel_matches_half_oracle_on_random_pairs(pair):
+    n, k = pair
+    assert _classical_coeffs(n, k) == classical_coeffs_half(n, k)
+
+
+@pytest.mark.parametrize(
+    "n, k, step, j",
+    [
+        (4, 2, 2, 0),  # [4, 2]: degree 4, built whole, checked whole
+        (3, 1, 1, 2),  # [3, 1]: degree 2, built whole
+        (61, 30, 20, 311),  # [51, 20]: degree 620, built to 330
+        (61, 30, 20, 290),  # the mirror partner of coefficient 330
+    ],
+)
+def test_kernel_checks_every_step_for_palindromy(monkeypatch, n, k, step, j):
+    # a wrong coefficient in one partial quotient is caught at that step,
+    # before the checksum of the result
+    qbinom_module = sys.modules["qneg.qbinom"]
+    divide = qbinom_module._divide_by_one_minus_q_power
+
+    def divide_and_corrupt(prod, i):
+        divide(prod, i)
+        if i == step:
+            prod[j] += 1
+
+    monkeypatch.setattr(qbinom_module, "_divide_by_one_minus_q_power", divide_and_corrupt)
+    top = n - min(k, n - k) + step
+    with pytest.raises(InvariantError, match=rf"\[{top}, {step}\] is not palindromic"):
+        _classical_coeffs(n, k)
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (7, 3), (10, 3), (12, 6), (61, 30)])

@@ -215,7 +215,13 @@ def _suite_lucas(ns) -> Iterator[Case]:
 def _suite_qlucas(ns) -> Iterator[Case]:
     from .congruence import verify_q_lucas
 
-    for m in _span(ns.m, 2, 9):
+    moduli = _span(ns.m, 2, 9)
+    if moduli and moduli[-1] > MAX_COEFFICIENTS:
+        raise ValueError(
+            f"modulus {moduli[-1]:,} is too large (Phi_m has up to m coefficients; "
+            f"the limit is {MAX_COEFFICIENTS:,})"
+        )
+    for m in moduli:
         for n in _span(ns.n, -15, 15):
             for k in _span(ns.k, -15, 15):
                 yield f"qlucas m={m} n={n} k={k}", verify_q_lucas(n, k, m)

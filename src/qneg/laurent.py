@@ -48,7 +48,7 @@ class LaurentPoly:
     True
     """
 
-    __slots__ = ("val", "coeffs")
+    __slots__ = ("val", "coeffs", "__weakref__")
     val: int
     coeffs: tuple[int, ...]
 

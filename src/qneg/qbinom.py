@@ -18,6 +18,7 @@ import functools
 import itertools
 import math
 import operator
+import weakref
 
 from .laurent import ONE, ZERO, InvariantError, LaurentPoly
 
@@ -55,7 +56,7 @@ def region(n: int, k: int) -> Region:
     return Region.DOUBLE_NEGATIVE if k <= n else Region.VANISHING
 
 
-def _classical_coeffs(n: int, k: int) -> list[int]:
+def _classical_coeffs(n: int, k: int, start: LaurentPoly | None = None) -> list[int]:
     """Ascending coefficients of the classical Gaussian polynomial, 0 <= k <= n.
 
     Built as the product over i = 1..k of (1 - q^(n-k+i)) / (1 - q^i) with the
@@ -79,11 +80,23 @@ def _classical_coeffs(n: int, k: int) -> list[int]:
     reaches d the whole quotient is built and the check covers all of it.
     The result is checked against its closed-form values at q = 1 and
     q = -1 as well.
+
+    The partial quotients [m+1, 1], [m+2, 2], ... lie on one diagonal
+    m = n - k, so a known [m+j, j] with j <= min(k, n - k) may be passed as
+    start: its leading j*m // 2 + 1 coefficients seed the window, and the
+    steps run from j + 1 on, each with its palindrome check.  A start that
+    is not a palindrome of degree j*m raises InvariantError.
     """
     k = min(k, n - k)
     m = n - k
-    coeffs, prev = [1], 0  # the quotient [m, 0] = 1 and its degree
-    for i in range(1, k + 1):
+    coeffs, prev, first = [1], 0, 1  # the quotient [m, 0] = 1 and its degree
+    if start is not None and k:
+        seed = start.coeffs
+        j, rest = divmod(len(seed) - 1, m)
+        if start.val or rest or not 0 <= j <= k or seed != seed[::-1]:
+            raise InvariantError(f"start is not a palindrome [{m} + j, j] with j <= {k}")
+        coeffs, prev, first = list(seed[: j * m // 2 + 1]), j * m, j + 1
+    for i in range(first, k + 1):
         top, deg = m + i, i * m
         mid = deg // 2
         width = min(mid + 1 + i, deg + 1)
@@ -125,6 +138,12 @@ def _check_at_plus_minus_one(n: int, k: int, coeffs: list[int]) -> None:
         raise InvariantError(f"Gaussian binomial [{n}, {k}] is wrong at q = -1")
 
 
+# The classical values computed so far, by diagonal: [m+j, j] under (m, j).
+# Weak references only, so it holds no value that the cache of qbinom has
+# dropped, and qbinom.cache_clear() empties it too.
+_DIAGONALS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @functools.lru_cache(maxsize=None)
 def qbinom(n: int, k: int) -> LaurentPoly:
     """The q-binomial coefficient of (n, k) as a canonical Laurent polynomial.
@@ -148,7 +167,13 @@ def qbinom(n: int, k: int) -> LaurentPoly:
     if reg is Region.VANISHING:
         return ZERO
     if reg is Region.CLASSICAL:
-        return LaurentPoly(0, _classical_coeffs(n, k))
+        k = min(k, n - k)
+        j = k
+        while j and (start := _DIAGONALS.get((n - k, j))) is None:
+            j -= 1
+        value = LaurentPoly(0, _classical_coeffs(n, k, start if j else None))
+        _DIAGONALS[n - k, k] = value
+        return value
     if reg is Region.NEGATIVE_N:
         doubled = k * (2 * n - k + 1)
         if doubled % 2:

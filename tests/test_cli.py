@@ -143,6 +143,32 @@ def test_eval_too_large_exits_two_at_once():
     assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
 
 
+def test_verify_qlucas_refuses_a_huge_modulus_at_once():
+    # Phi_100000000 has 4e7 + 1 coefficients: without the guard this process
+    # builds them before it checks anything
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    argv = ["verify", "qlucas", "--m", "100000000", "--n", "0", "--k", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qneg", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
+
+
+def test_verify_qlucas_modulus_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 9)
+    code, out, _ = run_cli(capsys, "verify", "qlucas", "--m", "9", "--n", "0", "--k", "0")
+    assert (code, out) == (0, "checked 1, passed 1\n")
+    code, out, err = run_cli(capsys, "verify", "qlucas", "--m", "2..10", "--n", "0", "--k", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: modulus 10 is too large (Phi_m has up to m coefficients; the limit is 9)\n"
+
+
 def test_size_limit_sums_the_cells_of_a_table(capsys, monkeypatch):
     # [-3, -5] has 5 coefficients and [-3, -6] has 7; a --q1 value counts as one
     monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 5)

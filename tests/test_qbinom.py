@@ -8,7 +8,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qneg.laurent import ONE, ZERO, InvariantError, LaurentPoly
@@ -325,6 +325,91 @@ def test_kernel_properties_on_large_random_pairs():
             num *= 2 ** (n - k + i) - 1
             den *= 2**i - 1
         assert at_two * den == num, (n, k)
+
+
+# -- resuming on a diagonal -------------------------------------------------------
+
+
+@st.composite
+def diagonal_steps(draw):
+    """(m, j, k) with 1 <= j <= k <= m: [m+j, j] and [m+k, k] share the
+    diagonal m, and k is already the smaller of k and m."""
+    m = draw(st.integers(1, 200))
+    k = draw(st.integers(1, min(m, 100)))
+    return m, draw(st.integers(1, k)), k
+
+
+@settings(max_examples=100, deadline=None)
+@given(diagonal_steps())
+@example((1, 1, 1))
+@example((7, 5, 5))
+@example((200, 1, 100))
+def test_kernel_resumed_on_the_diagonal_matches_half_oracle(steps):
+    m, j, k = steps
+    expected = classical_coeffs_half(m + k, k)
+    start = qbinom(m + j, j)
+    assert _classical_coeffs(m + k, k, start=start) == expected
+    assert _classical_coeffs(m + k, m, start=start) == expected  # [m+k, m] = [m+k, k]
+
+
+def cold(n, k):
+    """qbinom(n, k) from an empty cache and an empty diagonal index."""
+    qbinom.cache_clear()
+    return qbinom(n, k)
+
+
+def test_warm_diagonal_index_gives_the_cold_values():
+    box = [(n, k) for n in range(-24, 25) for k in range(-24, 25)]
+    expected = {pair: cold(*pair) for pair in box}
+    qbinom.cache_clear()
+    ascending = {pair: qbinom(*pair) for pair in box}
+    assert ascending == expected
+    # the ascending values are still held here, so after the cache is
+    # cleared every classical value resumes from its own diagonal entry
+    qbinom.cache_clear()
+    assert {pair: qbinom(*pair) for pair in reversed(box)} == expected
+    del ascending
+    qbinom.cache_clear()
+    assert {pair: qbinom(*pair) for pair in reversed(box)} == expected
+
+
+def test_negative_regions_resume_on_a_shared_diagonal():
+    # (-m-1, j) reflects onto [m+j, j], and so does (-j-1, -j-1-m); the two
+    # regions take turns along the diagonal, up it and then down it
+    for m in (1, 6, 37):
+        pairs = [p for j in range(1, m + 1) for p in ((-m - 1, j), (-j - 1, -j - 1 - m))]
+        for order in (pairs, pairs[::-1]):
+            expected = [cold(*pair) for pair in order]
+            qbinom.cache_clear()
+            assert [qbinom(*pair) for pair in order] == expected
+
+
+@pytest.mark.parametrize("m, j, k", [(1, 1, 1), (6, 2, 2), (6, 2, 5), (30, 11, 30), (29, 12, 13)])
+def test_kernel_rejects_a_start_with_one_coefficient_changed(m, j, k):
+    start = qbinom(m + j, j)
+    for t in range(len(start.coeffs)):
+        changed = list(start.coeffs)
+        changed[t] += 1
+        with pytest.raises(InvariantError):
+            _classical_coeffs(m + k, k, start=LaurentPoly(0, changed))
+
+
+def test_kernel_rejects_a_start_off_the_diagonal():
+    with pytest.raises(InvariantError, match="not a palindrome"):
+        _classical_coeffs(20, 10, start=qbinom(13, 4))  # diagonal 9, not 10
+    with pytest.raises(InvariantError, match="not a palindrome"):
+        _classical_coeffs(20, 5, start=qbinom(21, 6))  # past [20, 5]
+
+
+def test_diagonal_index_retains_nothing_after_cache_clear():
+    qbinom_module = sys.modules["qneg.qbinom"]
+    for n in range(-30, 31):
+        for k in range(-30, 31):
+            qbinom(n, k)
+    assert len(qbinom_module._DIAGONALS) > 0
+    qbinom.cache_clear()
+    assert len(qbinom_module._DIAGONALS) == 0
+    assert list(qbinom_module._DIAGONALS.values()) == []
 
 
 # -- integer specialization -----------------------------------------------------

@@ -177,7 +177,9 @@ def _suite_qbt(ns) -> Iterator[Case]:
     from .qseries import pochhammer_expansion
 
     trunc = 10 if ns.trunc is None else ns.trunc
-    for n in _span(ns.n, -5, 5):
+    n_values = _span(ns.n, -5, 5)
+    _check_size(n_values, range(trunc), False)
+    for n in n_values:
         series = pochhammer_expansion(n, trunc)
         for k in range(trunc):
             expect = qbinom(n, k).shift(k * (k - 1) // 2)
@@ -190,7 +192,11 @@ def _suite_ncqbt(ns) -> Iterator[Case]:
     from .qseries import Direction, power_xy
 
     trunc = 10 if ns.trunc is None else ns.trunc
-    for n in _span(ns.n, -6, 6):
+    n_values = _span(ns.n, -6, 6)
+    # qbinom(n, k) = qbinom(n, n - k): the window from infinity holds the
+    # values of the window from zero
+    _check_size(n_values, range(trunc), False, copies=2)
+    for n in n_values:
         from_zero = power_xy(n, Direction.FROM_ZERO, trunc)
         for k in range(trunc):
             yield f"ncqbt zero n={n} k={k}", from_zero.coefficient(k) == qbinom(n, k)
@@ -230,8 +236,12 @@ def _suite_qlucas(ns) -> Iterator[Case]:
 def _suite_freshman(ns) -> Iterator[Case]:
     from .qseries import freshman_congruence
 
-    for m in _span(ns.m, 2, 12):
-        yield f"freshman m={m}", freshman_congruence(m, ns.trunc)
+    # Each expansion (x+y)^m is dropped before the next, so the largest
+    # modulus sets the size.
+    moduli = _span(ns.m, 2, 12)
+    _check_size(range(moduli[-1], moduli[-1] + 1), range(moduli[-1] + 1), False)
+    for m in moduli:
+        yield f"freshman m={m}", freshman_congruence(m)
 
 
 APERY_CONGRUENCE_CASES = (
@@ -303,17 +313,22 @@ def _value_size(n: int, k: int, q1: bool, profile: tuple[int, int] | None) -> in
     return bits * 30103 // 100000 + 1
 
 
-def _check_size(n_values: range, k_values: range, q1: bool) -> None:
-    """Refuse, as a usage error, a grid whose values hold more than
-    MAX_COEFFICIENTS coefficients, or with q1 digits, in all.  The count
-    stops at the first value that takes it past the limit."""
-    total = len(n_values) * len(k_values)  # each value counts one or more
+def _check_size(n_values: range, k_values: range, q1: bool, copies: int = 1) -> None:
+    """Refuse, as a usage error, a grid whose values, each held `copies`
+    times, hold more than MAX_COEFFICIENTS coefficients, or with q1 digits,
+    in all.  The count stops at the first value that takes it past the
+    limit."""
+    total = copies * len(n_values) * len(k_values)  # each value counts one or more
     if total <= MAX_COEFFICIENTS:
         from itertools import accumulate
 
         from .qbinom import degree_profile
 
-        sizes = (_value_size(n, k, q1, degree_profile(n, k)) for n in n_values for k in k_values)
+        sizes = (
+            copies * _value_size(n, k, q1, degree_profile(n, k))
+            for n in n_values
+            for k in k_values
+        )
         total = next((t for t in accumulate(sizes) if t > MAX_COEFFICIENTS), 0)
     if total > MAX_COEFFICIENTS:
         unit = "digits" if q1 else "coefficients"
@@ -416,15 +431,14 @@ def _cmd_table(ns) -> int:
 def _cmd_expand(ns) -> int:
     from .qseries import Direction, pochhammer_expansion, power_xy
 
+    from_infinity = ns.mode == "noncommutative-from-infinity"
+    ks = range(ns.n, ns.n - ns.trunc, -1) if from_infinity else range(ns.trunc)
+    _check_size(range(ns.n, ns.n + 1), ks, False)
     if ns.mode == "pochhammer":
         series = pochhammer_expansion(ns.n, ns.trunc)
-        ks = range(ns.trunc)
     else:
-        from_zero = ns.mode == "noncommutative-from-zero"
-        direction = Direction.FROM_ZERO if from_zero else Direction.FROM_INFINITY
+        direction = Direction.FROM_INFINITY if from_infinity else Direction.FROM_ZERO
         series = power_xy(ns.n, direction, ns.trunc)
-        lo, hi = series.window()
-        ks = range(lo, hi + 1) if from_zero else range(hi, lo - 1, -1)
     terms = [(k, series.coefficient(k)) for k in ks]
     _emit(
         ns,
@@ -507,6 +521,7 @@ COMMANDS = {
             "--trunc": {"type": int, "default": 16},
         },
         _cmd_expand,
+        SIZE_NOTE,
     ),
     "lucas": Command(
         "digit-wise binomial residue mod a prime",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
+from collections.abc import Callable
 
 from .laurent import ONE, ZERO, LaurentPoly, congruent_mod, cyclotomic
 from .qbinom import qbinom
@@ -66,22 +67,10 @@ class NormalSeries(
             )
         return self.terms.get(k, ZERO)
 
-    def __mul__(self, other: NormalSeries) -> NormalSeries:
-        return series_mul(self, other)
-
     def _is_exact(self) -> bool:
         # A nonnegative power whose window covers its full support is a
         # complete polynomial: its coefficients are known for every k.
         return self.n >= 0 and self.truncation >= self.n + 1
-
-
-def _make_series(
-    n: int, direction: Direction, terms: dict[int, LaurentPoly], truncation: int
-) -> NormalSeries:
-    lo = 0 if direction is Direction.FROM_ZERO else n - truncation + 1
-    hi = truncation - 1 if direction is Direction.FROM_ZERO else n
-    kept = {k: v for k, v in terms.items() if lo <= k <= hi and not v.is_zero()}
-    return NormalSeries(n, direction, kept, truncation)
 
 
 def series_mul(a: NormalSeries, b: NormalSeries) -> NormalSeries:
@@ -106,53 +95,56 @@ def series_mul(a: NormalSeries, b: NormalSeries) -> NormalSeries:
             coeff = (ak * bj).shift((a.n - k) * j)
             m = k + j
             out[m] = out.get(m, ZERO) + coeff
-    return _make_series(n, a.direction, out, truncation)
+    lo, hi = NormalSeries(n, a.direction, None, truncation).window()
+    kept = {k: v for k, v in out.items() if lo <= k <= hi and not v.is_zero()}
+    return NormalSeries(n, a.direction, kept, truncation)
 
 
-def _inverse_base(direction: Direction, truncation: int) -> NormalSeries:
-    # (x+y)^-1 from the geometric series, normal-ordered:
-    #   from zero:      sum_{k>=0} (-1)^k     q^(-k(k+1)/2) x^k y^(-1-k)
-    #   from infinity:  sum_{k<=-1} (-1)^(k+1) q^(-k(k+1)/2) x^k y^(-1-k)
-    terms: dict[int, LaurentPoly] = {}
-    if direction is Direction.FROM_ZERO:
-        ks = range(0, truncation)
-        for k in ks:
-            terms[k] = LaurentPoly.q_power(-k * (k + 1) // 2, -1 if k % 2 else 1)
+def _factor_chain(
+    n: int, truncation: int, exponent: Callable[[int, int], int]
+) -> list[LaurentPoly]:
+    """The window c[0], c[1], ... of a chain of |n| two-term factors
+    1 + q^s t, started from [1, 0, 0, ...] and cut to `truncation` entries,
+    or for n >= 0 to the support i <= n if that is shorter.
+
+    For n >= 0 factors j = 0..n-1 multiply: c[i] gains q^s c[i-1], with i
+    descending so that c[i-1] is still the old entry.  For n < 0 factors
+    j = -1, -2, ..., n divide: c[i] becomes c[i] - q^s c[i-1], with i
+    ascending so that c[i-1] is already the quotient's.  The exponent is
+    s = exponent(j, i).
+    """
+    if truncation < 1:
+        raise ValueError("truncation must be at least 1")
+    size = truncation if n < 0 else min(truncation, n + 1)
+    c = [ONE] + [ZERO] * (size - 1)
+    if n >= 0:
+        for j in range(n):
+            for i in range(min(j + 1, size - 1), 0, -1):
+                c[i] = c[i] + c[i - 1].shift(exponent(j, i))
     else:
-        ks = range(-1, -truncation - 1, -1)
-        for k in ks:
-            terms[k] = LaurentPoly.q_power(-k * (k + 1) // 2, 1 if k % 2 else -1)
-    return NormalSeries(-1, direction, terms, truncation)
+        for j in range(-1, n - 1, -1):
+            for i in range(1, size):
+                c[i] = c[i] - c[i - 1].shift(exponent(j, i))
+    return c
 
 
 def power_xy(n: int, direction: Direction, truncation: int) -> NormalSeries:
     """The expansion of (x+y)^n in the given direction with the given window.
 
-    Nonnegative powers are exact binomial products; negative powers are built
-    by repeated multiplication with the geometric-series expansion of
-    (x+y)^-1 in the same direction.
+    It is a chain of |n| factors x+y, multiplied for n >= 0 and divided out
+    for n < 0, with s = j + 1 - i.  From zero each factor multiplies on the
+    right: g = f(x+y), f of degree N, gives g[k] = f[k] + q^(N+1-k) f[k-1].
+    From infinity it multiplies on the left, and g = (x+y)f gives the same
+    recurrence on the window read from k = n downward, so the direction only
+    picks the key of entry i, k = i or k = n - i.
 
     >>> power_xy(-1, Direction.FROM_ZERO, 4).coefficient(3)
     LaurentPoly('-q^-6')
     """
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    if n == 0:
-        return _make_series(0, direction, {0: ONE}, truncation)
-    if n > 0:
-        base = _make_series(1, direction, {0: ONE, 1: ONE}, truncation)
-        acc = base
-        for _ in range(n - 1):
-            acc = series_mul(acc, base)
-        # Re-window to the requested truncation: either the fold stayed at
-        # that truncation, or it produced the complete polynomial, whose
-        # coefficients beyond the support are known to be zero.
-        return _make_series(n, direction, acc.terms, truncation)
-    base = _inverse_base(direction, truncation)
-    acc = base
-    for _ in range(-n - 1):
-        acc = series_mul(acc, base)
-    return acc
+    window = _factor_chain(n, truncation, lambda j, i: j + 1 - i)
+    from_zero = direction is Direction.FROM_ZERO
+    terms = {i if from_zero else n - i: c for i, c in enumerate(window)}
+    return NormalSeries(n, direction, terms, truncation)
 
 
 class PowerSeriesInX(namedtuple("PowerSeriesInX", ["coefficients", "truncation"])):
@@ -171,39 +163,12 @@ def pochhammer_expansion(n: int, truncation: int) -> PowerSeriesInX:
     """The expansion of the shifted factorial (-x; q)_n in powers of x.
 
     For n >= 0 this is the finite product (1+x)(1+xq)...(1+xq^(n-1)); for
-    n < 0 it is the product over j = 1..|n| of the geometric series
-    sum_m (-1)^m x^m q^(-jm), truncated.  The x^k coefficient equals
+    n < 0 it is 1 / ((1+x/q)(1+x/q^2)...(1+x/q^|n|)), truncated: the
+    chain of factors 1 + q^j x.  The x^k coefficient equals
     q^(k(k-1)/2) * qbinom(n, k) for every integer n.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    coeffs: dict[int, LaurentPoly] = {0: ONE}
-    if n >= 0:
-        for j in range(n):
-            qj = LaurentPoly.q_power(j)
-            new: dict[int, LaurentPoly] = {}
-            for k in range(min(truncation, len(coeffs) + 1)):
-                term = coeffs.get(k, ZERO) + coeffs.get(k - 1, ZERO) * qj
-                if not term.is_zero():
-                    new[k] = term
-            coeffs = new
-    else:
-        for j in range(1, -n + 1):
-            new = {}
-            for k in range(truncation):
-                # convolution against (-1)^m q^(-jm) at m = k - i
-                total = ZERO
-                for i in range(k + 1):
-                    c = coeffs.get(i)
-                    if c is None:
-                        continue
-                    m = k - i
-                    total = total + c.shift(-j * m) * (-1 if m % 2 else 1)
-                if not total.is_zero():
-                    new[k] = total
-            coeffs = new
-    return PowerSeriesInX(coeffs, truncation)
-
+    window = _factor_chain(n, truncation, lambda j, i: j)
+    return PowerSeriesInX(dict(enumerate(window)), truncation)
 
 def verify_chu_vandermonde(n: int, m: int, k: int) -> bool:
     """Check the generalized Chu-Vandermonde identity
@@ -229,13 +194,12 @@ def verify_chu_vandermonde(n: int, m: int, k: int) -> bool:
     return total == qbinom(n + m, k)
 
 
-def freshman_congruence(m: int, truncation: int | None = None) -> bool:
+def freshman_congruence(m: int) -> bool:
     """Check (x+y)^m = x^m + y^m modulo Phi_m(q): the boundary coefficients
     of the expansion equal 1 and every interior one is divisible by Phi_m."""
     if m < 2:
         raise ValueError(f"freshman congruence requires m >= 2, got {m}")
-    window = max(m + 1, truncation or 0)
-    s = power_xy(m, Direction.FROM_ZERO, window)
+    s = power_xy(m, Direction.FROM_ZERO, m + 1)
     mod = cyclotomic(m)
     if s.coefficient(0) != ONE or s.coefficient(m) != ONE:
         return False

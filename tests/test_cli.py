@@ -169,6 +169,86 @@ def test_verify_qlucas_modulus_limit(capsys, monkeypatch):
     assert err == "error: modulus 10 is too large (Phi_m has up to m coefficients; the limit is 9)\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--n", "1", "--mode", "noncommutative-from-zero", "--trunc", "100000000"],
+        ["expand", "--n", "1", "--mode", "pochhammer", "--trunc", "100000000"],
+        ["verify", "qbt", "--n", "1", "--trunc", "100000000"],
+        ["verify", "ncqbt", "--n", "1", "--trunc", "100000000"],
+        ["verify", "freshman", "--m", "182"],
+    ],
+    ids=["expand", "pochhammer", "qbt", "ncqbt", "freshman"],
+)
+def test_series_commands_refuse_a_huge_window_at_once(argv):
+    # a window of 10**8 entries died with a MemoryError traceback and exit 1
+    # under a 1.5 GB address-space limit; (x+y)^182 holds 1,004,914
+    # coefficients, and at m = 240 took 14.4 s and 292 MB
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qneg", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
+
+
+def _held(n, ks):
+    # the coefficients of the values qbinom(n, k), a zero counting as one
+    return sum(len(qbinom(n, k).coeffs) or 1 for k in ks)
+
+
+def _freshman_size(m):
+    # (x+y)^m: sum over k = 0..m of k(m - k) + 1
+    return (m**3 - m) // 6 + m + 1
+
+
+SERIES_SIZES = [
+    (
+        ["expand", "--n", "-3", "--mode", "noncommutative-from-zero", "--trunc", "4"],
+        _held(-3, range(4)),
+    ),
+    (
+        ["expand", "--n", "-3", "--mode", "noncommutative-from-infinity", "--trunc", "4"],
+        _held(-3, range(-3, -7, -1)),
+    ),
+    (["expand", "--n", "5", "--mode", "pochhammer", "--trunc", "9"], _held(5, range(9))),
+    (
+        ["verify", "qbt", "--n", "-2..3", "--trunc", "5"],
+        sum(_held(n, range(5)) for n in range(-2, 4)),
+    ),
+    (
+        ["verify", "ncqbt", "--n", "-2..3", "--trunc", "5"],
+        sum(_held(n, range(5)) + _held(n, range(n, n - 5, -1)) for n in range(-2, 4)),
+    ),
+    (["verify", "freshman", "--m", "2..10"], _freshman_size(10)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    SERIES_SIZES,
+    ids=["from-zero", "from-infinity", "pochhammer", "qbt", "ncqbt", "freshman"],
+)
+def test_series_size_limit_counts_every_window(capsys, monkeypatch, argv, size):
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", size)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", size - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the result is too large") and err.count("\n") == 1
+
+
+def test_freshman_admits_the_largest_modulus_that_fits(capsys):
+    assert _freshman_size(181) <= cli.MAX_COEFFICIENTS < _freshman_size(182)
+    assert run_cli(capsys, "verify", "freshman", "--m", "181") == (0, "checked 1, passed 1\n", "")
+
+
 def test_size_limit_sums_the_cells_of_a_table(capsys, monkeypatch):
     # [-3, -5] has 5 coefficients and [-3, -6] has 7; a --q1 value counts as one
     monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 5)

@@ -1,12 +1,17 @@
 """Expansions in q-commuting variables and the associated theorems."""
 
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qneg.laurent import ONE, ZERO, LaurentPoly, cyclotomic_poly, divides
 from qneg.qbinom import qbinom
 from qneg.qseries import (
     Direction,
     NormalSeries,
+    PowerSeriesInX,
     freshman_congruence,
     pochhammer_expansion,
     power_xy,
@@ -164,6 +169,124 @@ def test_pochhammer_window_contract():
         s.coefficient(5)
     with pytest.raises(ValueError):
         s.coefficient(-1)
+
+
+# -- the constructions the factor chain replaced, kept as oracles -----------------
+#
+# power_xy multiplied a base series with series_mul, the geometric series of
+# (x+y)^-1 for negative powers, and pochhammer_expansion ran a product loop
+# for n >= 0 and a convolution with geometric series for n < 0.
+
+
+def _make_series(
+    n: int, direction: Direction, terms: dict[int, LaurentPoly], truncation: int
+) -> NormalSeries:
+    lo = 0 if direction is Direction.FROM_ZERO else n - truncation + 1
+    hi = truncation - 1 if direction is Direction.FROM_ZERO else n
+    kept = {k: v for k, v in terms.items() if lo <= k <= hi and not v.is_zero()}
+    return NormalSeries(n, direction, kept, truncation)
+
+
+def _inverse_base(direction: Direction, truncation: int) -> NormalSeries:
+    # (x+y)^-1 from the geometric series, normal-ordered:
+    #   from zero:      sum_{k>=0} (-1)^k     q^(-k(k+1)/2) x^k y^(-1-k)
+    #   from infinity:  sum_{k<=-1} (-1)^(k+1) q^(-k(k+1)/2) x^k y^(-1-k)
+    terms: dict[int, LaurentPoly] = {}
+    if direction is Direction.FROM_ZERO:
+        ks = range(0, truncation)
+        for k in ks:
+            terms[k] = LaurentPoly.q_power(-k * (k + 1) // 2, -1 if k % 2 else 1)
+    else:
+        ks = range(-1, -truncation - 1, -1)
+        for k in ks:
+            terms[k] = LaurentPoly.q_power(-k * (k + 1) // 2, 1 if k % 2 else -1)
+    return NormalSeries(-1, direction, terms, truncation)
+
+
+def power_xy_by_series_mul(n: int, direction: Direction, truncation: int) -> NormalSeries:
+    if truncation < 1:
+        raise ValueError("truncation must be at least 1")
+    if n == 0:
+        return _make_series(0, direction, {0: ONE}, truncation)
+    if n > 0:
+        base = _make_series(1, direction, {0: ONE, 1: ONE}, truncation)
+        acc = base
+        for _ in range(n - 1):
+            acc = series_mul(acc, base)
+        # Re-window to the requested truncation: either the fold stayed at
+        # that truncation, or it produced the complete polynomial, whose
+        # coefficients beyond the support are known to be zero.
+        return _make_series(n, direction, acc.terms, truncation)
+    base = _inverse_base(direction, truncation)
+    acc = base
+    for _ in range(-n - 1):
+        acc = series_mul(acc, base)
+    return acc
+
+
+def pochhammer_by_convolution(n: int, truncation: int) -> PowerSeriesInX:
+    if truncation < 1:
+        raise ValueError("truncation must be at least 1")
+    coeffs: dict[int, LaurentPoly] = {0: ONE}
+    if n >= 0:
+        for j in range(n):
+            qj = LaurentPoly.q_power(j)
+            new: dict[int, LaurentPoly] = {}
+            for k in range(min(truncation, len(coeffs) + 1)):
+                term = coeffs.get(k, ZERO) + coeffs.get(k - 1, ZERO) * qj
+                if not term.is_zero():
+                    new[k] = term
+            coeffs = new
+    else:
+        for j in range(1, -n + 1):
+            new = {}
+            for k in range(truncation):
+                # convolution against (-1)^m q^(-jm) at m = k - i
+                total = ZERO
+                for i in range(k + 1):
+                    c = coeffs.get(i)
+                    if c is None:
+                        continue
+                    m = k - i
+                    total = total + c.shift(-j * m) * (-1 if m % 2 else 1)
+                if not total.is_zero():
+                    new[k] = total
+            coeffs = new
+    return PowerSeriesInX(coeffs, truncation)
+
+
+@pytest.mark.parametrize("n", range(-25, 26))
+def test_factor_chain_equals_the_old_constructions(n):
+    for truncation in (1, 2, 3, 7, 16, 25):
+        for direction in (FZ, FI):
+            expect = power_xy_by_series_mul(n, direction, truncation)
+            assert power_xy(n, direction, truncation) == expect, (truncation, direction)
+        expect = pochhammer_by_convolution(n, truncation)
+        assert pochhammer_expansion(n, truncation) == expect, truncation
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-60, 60), st.integers(1, 40))
+def test_expansions_are_q_binomials_beyond_the_box(n, truncation):
+    from_zero = power_xy(n, FZ, truncation)
+    from_inf = power_xy(n, FI, truncation)
+    pochhammer = pochhammer_expansion(n, truncation)
+    for k in range(truncation):
+        assert from_zero.coefficient(k) == qbinom(n, k), k
+        assert from_inf.coefficient(n - k) == qbinom(n, n - k), k
+        assert pochhammer.coefficient(k) == qbinom(n, k).shift(k * (k - 1) // 2), k
+
+
+def test_nonnegative_power_builds_no_window_past_its_support():
+    # a window of 10**6 entries would take several MB for its list alone
+    tracemalloc.start()
+    try:
+        s = power_xy(5, FZ, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert s.coefficient(10**6 - 1) == ZERO and s.coefficient(2) == qbinom(5, 2)
 
 
 # -- Chu-Vandermonde -----------------------------------------------------------------

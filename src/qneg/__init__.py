@@ -24,14 +24,20 @@ _EXPORTS = {
         "hybridset": "HybridSet standard_new_set k_subsets subset_count qbinom_via_subsets",
         "qseries": "Direction NormalSeries PowerSeriesInX series_mul power_xy "
         "pochhammer_expansion verify_chu_vandermonde freshman_congruence",
-        "congruence": "DigitSplit PadicDigits digit_split padic_digits is_prime "
-        "lucas_product verify_lucas q_lucas_rhs verify_q_lucas",
+        "congruence": "PadicDigits padic_digits is_prime lucas_product verify_lucas "
+        "q_lucas_rhs verify_q_lucas",
         "apery": "apery verify_apery_symmetry verify_apery_congruence",
     }.items()
     for name in names.split()
 }
 
 __all__ = [*_EXPORTS, "__version__"]
+
+
+def _public(module: str) -> list[str]:
+    """The public names that `module` defines, in the order of _EXPORTS;
+    each submodule's ``__all__``."""
+    return [name for name, home in _EXPORTS.items() if home == module]
 
 
 def __getattr__(name: str):

@@ -9,11 +9,12 @@ three-term recurrence; the sum is kept as an independent oracle.
 
 from __future__ import annotations
 
+from . import _public
 from .congruence import is_prime
 from .laurent import InvariantError
 from .qbinom import binom
 
-__all__ = ["apery", "verify_apery_symmetry", "verify_apery_congruence"]
+__all__ = _public(__name__)
 
 APERY_VARIANTS = ("beukers", "coster")
 

@@ -13,27 +13,11 @@ import functools
 from collections import namedtuple
 from math import comb
 
+from . import _public
 from .laurent import LaurentPoly, congruent_mod, cyclotomic
 from .qbinom import binom, qbinom
 
-__all__ = [
-    "DigitSplit",
-    "PadicDigits",
-    "digit_split",
-    "padic_digits",
-    "is_prime",
-    "lucas_product",
-    "verify_lucas",
-    "verify_q_lucas",
-    "q_lucas_rhs",
-]
-
-
-class DigitSplit(namedtuple("DigitSplit", ["base", "low", "high"])):
-    """One step of base expansion: original = low + high * base with the
-    low digit in [0, base)."""
-
-    __slots__ = ()
+__all__ = _public(__name__)
 
 
 class PadicDigits(namedtuple("PadicDigits", ["base", "preperiodic", "eventual"])):
@@ -46,21 +30,6 @@ class PadicDigits(namedtuple("PadicDigits", ["base", "preperiodic", "eventual"])
         if i < len(self.preperiodic):
             return self.preperiodic[i]
         return self.eventual
-
-
-def digit_split(n: int, base: int) -> DigitSplit:
-    """Split n = low + high*base with low in [0, base).
-
-    The remainder is always nonnegative (floor division toward minus
-    infinity), which is what digit statements about negative n require.
-
-    >>> digit_split(-11, 7)
-    DigitSplit(base=7, low=3, high=-2)
-    """
-    if base < 2:
-        raise ValueError(f"base must be at least 2, got {base}")
-    high, low = divmod(n, base)
-    return DigitSplit(base, low, high)
 
 
 def padic_digits(n: int, base: int) -> PadicDigits:

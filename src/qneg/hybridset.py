@@ -12,16 +12,11 @@ import itertools
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 
+from . import _public
 from .laurent import LaurentPoly, ZERO
 from .qbinom import Region, region
 
-__all__ = [
-    "HybridSet",
-    "standard_new_set",
-    "k_subsets",
-    "subset_count",
-    "qbinom_via_subsets",
-]
+__all__ = _public(__name__)
 
 
 class HybridSet:

@@ -7,23 +7,15 @@ which is what "congruent mod Phi_m(q)" means for Laurent polynomials.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import accumulate, repeat
 
-__all__ = [
-    "InvariantError",
-    "LaurentPoly",
-    "CyclotomicModulus",
-    "ZERO",
-    "ONE",
-    "Q",
-    "cyclotomic",
-    "cyclotomic_poly",
-    "divides",
-    "congruent_mod",
-]
+from . import _public
+
+__all__ = _public(__name__)
 
 
 class InvariantError(ArithmeticError):
@@ -77,18 +69,6 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> LaurentPoly:
-        return cls(0, ())
-
-    @classmethod
-    def one(cls) -> LaurentPoly:
-        return cls(0, (1,))
-
-    @classmethod
-    def constant(cls, c: int) -> LaurentPoly:
-        return cls(0, (c,))
-
-    @classmethod
     def q_power(cls, e: int, coeff: int = 1) -> LaurentPoly:
         """The monomial ``coeff * q**e``."""
         return cls(e, (coeff,))
@@ -98,7 +78,7 @@ class LaurentPoly:
         """Build from an {exponent: coefficient} mapping."""
         nonzero = {e: c for e, c in terms.items() if c != 0}
         if not nonzero:
-            return cls.zero()
+            return ZERO
         lo, hi = min(nonzero), max(nonzero)
         coeffs = [0] * (hi - lo + 1)
         for e, c in nonzero.items():
@@ -141,7 +121,7 @@ class LaurentPoly:
 
     def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
-            other = LaurentPoly.constant(other)
+            other = LaurentPoly(0, (other,))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self.coeffs:
@@ -164,7 +144,7 @@ class LaurentPoly:
 
     def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
-            other = LaurentPoly.constant(other)
+            other = LaurentPoly(0, (other,))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not other.coeffs:
@@ -185,7 +165,7 @@ class LaurentPoly:
     def __rsub__(self, other: int) -> LaurentPoly:
         if not isinstance(other, int):
             return NotImplemented
-        return LaurentPoly.constant(other) - self
+        return LaurentPoly(0, (other,)) - self
 
     def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
@@ -395,11 +375,6 @@ class CyclotomicModulus(namedtuple("CyclotomicModulus", ["m", "phi"])):
     __slots__ = ()
 
 
-# Cache of Phi_m keyed by m.  Values are immutable and every writer computes
-# the identical canonical polynomial, so concurrent fills are idempotent.
-_cyclotomic_cache: dict[int, LaurentPoly] = {}
-
-
 def _prime_factors(m: int) -> list[int]:
     """The distinct primes dividing m >= 1, by trial division."""
     primes = []
@@ -415,6 +390,15 @@ def _prime_factors(m: int) -> list[int]:
     return primes
 
 
+def _divide_by_one_minus_q_power(prod: list[int], i: int) -> None:
+    """Divide by (1 - q^i) in place, modulo q^len(prod): the ascending
+    recurrence g[j] = f[j] + g[j-i] is a running sum along each residue
+    class of j mod i."""
+    for r in range(i):
+        prod[r::i] = accumulate(prod[r::i])
+
+
+@functools.lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> LaurentPoly:
     """The m-th cyclotomic polynomial for m >= 1.
 
@@ -428,33 +412,26 @@ def cyclotomic_poly(m: int) -> LaurentPoly:
     """
     if m < 1:
         raise ValueError(f"cyclotomic index must be positive, got {m}")
-    cached = _cyclotomic_cache.get(m)
-    if cached is not None:
-        return cached
     if m == 1:
-        phi = LaurentPoly(0, (-1, 1))
-    else:
-        # (d, mu(m/d)) for every divisor d of m with mu(m/d) != 0
-        factors = [(m, 1)]
-        for p in _prime_factors(m):
-            factors += [(d // p, -mu) for d, mu in factors]
-        coeffs = [1]
-        for d, mu in factors:
-            if mu == 1:  # multiply by (1 - q^d)
-                prod = coeffs + [0] * d
-                prod[d:] = map(operator.sub, prod[d:], coeffs)
-                coeffs = prod
-        for d, mu in factors:
-            if mu == -1:  # divide by (1 - q^d): g[j] = f[j] + g[j-d]
-                for r in range(d):
-                    coeffs[r::d] = accumulate(coeffs[r::d])
-                width = len(coeffs) - d
-                if any(coeffs[width:]):
-                    raise InvariantError(f"cyclotomic division left a remainder at m={m}")
-                del coeffs[width:]
-        phi = LaurentPoly(0, coeffs)
-    _cyclotomic_cache[m] = phi
-    return phi
+        return LaurentPoly(0, (-1, 1))
+    # (d, mu(m/d)) for every divisor d of m with mu(m/d) != 0
+    factors = [(m, 1)]
+    for p in _prime_factors(m):
+        factors += [(d // p, -mu) for d, mu in factors]
+    coeffs = [1]
+    for d, mu in factors:
+        if mu == 1:  # multiply by (1 - q^d)
+            prod = coeffs + [0] * d
+            prod[d:] = map(operator.sub, prod[d:], coeffs)
+            coeffs = prod
+    for d, mu in factors:
+        if mu == -1:
+            _divide_by_one_minus_q_power(coeffs, d)
+            width = len(coeffs) - d
+            if any(coeffs[width:]):
+                raise InvariantError(f"cyclotomic division left a remainder at m={m}")
+            del coeffs[width:]
+    return LaurentPoly(0, coeffs)
 
 
 def cyclotomic(m: int) -> CyclotomicModulus:

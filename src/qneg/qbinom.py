@@ -15,23 +15,14 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 import operator
 import weakref
 
-from .laurent import ONE, ZERO, InvariantError, LaurentPoly
+from . import _public
+from .laurent import ONE, ZERO, InvariantError, LaurentPoly, _divide_by_one_minus_q_power
 
-__all__ = [
-    "Region",
-    "sgn",
-    "region",
-    "qbinom",
-    "qbinom_pascal",
-    "binom",
-    "six_forms",
-    "degree_profile",
-]
+__all__ = _public(__name__)
 
 
 class Region(enum.Enum):
@@ -117,14 +108,6 @@ def _mirror(coeffs: list[int], deg: int, length: int) -> None:
     """Extend the leading coefficients of a palindrome of degree deg, at least
     half of them, in place by mirror to min(length, deg + 1) coefficients."""
     coeffs += reversed(coeffs[deg + 1 - min(length, deg + 1) : deg + 1 - len(coeffs)])
-
-
-def _divide_by_one_minus_q_power(prod: list[int], i: int) -> None:
-    """Divide by (1 - q^i) in place, modulo q^len(prod): the ascending
-    recurrence g[j] = f[j] + g[j-i] is a running sum along each residue
-    class of j mod i."""
-    for r in range(i):
-        prod[r::i] = itertools.accumulate(prod[r::i])
 
 
 def _check_at_plus_minus_one(n: int, k: int, coeffs: list[int]) -> None:

@@ -14,19 +14,11 @@ import enum
 from collections import namedtuple
 from collections.abc import Callable
 
+from . import _public
 from .laurent import ONE, ZERO, LaurentPoly, congruent_mod, cyclotomic
 from .qbinom import qbinom
 
-__all__ = [
-    "Direction",
-    "NormalSeries",
-    "PowerSeriesInX",
-    "series_mul",
-    "power_xy",
-    "pochhammer_expansion",
-    "verify_chu_vandermonde",
-    "freshman_congruence",
-]
+__all__ = _public(__name__)
 
 
 class Direction(enum.Enum):

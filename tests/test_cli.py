@@ -177,13 +177,15 @@ def test_verify_qlucas_modulus_limit(capsys, monkeypatch):
         ["verify", "qbt", "--n", "1", "--trunc", "100000000"],
         ["verify", "ncqbt", "--n", "1", "--trunc", "100000000"],
         ["verify", "freshman", "--m", "182"],
+        ["verify", "freshman", "--m", "2..181"],
     ],
-    ids=["expand", "pochhammer", "qbt", "ncqbt", "freshman"],
+    ids=["expand", "pochhammer", "qbt", "ncqbt", "freshman", "freshman-range"],
 )
 def test_series_commands_refuse_a_huge_window_at_once(argv):
     # a window of 10**8 entries died with a MemoryError traceback and exit 1
     # under a 1.5 GB address-space limit; (x+y)^182 holds 1,004,914
-    # coefficients, and at m = 240 took 14.4 s and 292 MB
+    # coefficients, and at m = 240 took 14.4 s and 292 MB; the moduli
+    # 2..181 each fit but ran for 66.9 s in all
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     proc = subprocess.run(
         [sys.executable, "-m", "qneg", *argv],
@@ -225,7 +227,7 @@ SERIES_SIZES = [
         ["verify", "ncqbt", "--n", "-2..3", "--trunc", "5"],
         sum(_held(n, range(5)) + _held(n, range(n, n - 5, -1)) for n in range(-2, 4)),
     ),
-    (["verify", "freshman", "--m", "2..10"], _freshman_size(10)),
+    (["verify", "freshman", "--m", "2..10"], sum(_held(m, range(11)) for m in range(2, 11))),
 ]
 
 

@@ -2,8 +2,11 @@
 
 import doctest
 import importlib
+import os
 import pkgutil
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ import qneg
 import qneg.cli as cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+DEMOS = sorted((README.parent / "demos").glob("*.py"))
 
 # __main__ runs the command line when imported
 MODULES = sorted(
@@ -74,3 +78,16 @@ def test_readme_command(capsys, argv, comment):
     assert code == 0
     if comment and comment not in DESCRIPTIONS:
         assert out.splitlines()[0] == comment
+
+
+def test_demos_are_found():
+    assert len(DEMOS) >= 5  # the demos when this test was written
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
+def test_demo_runs_as_a_process(demo):
+    env = dict(os.environ, PYTHONPATH=str(Path(qneg.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "") and proc.stdout

@@ -178,9 +178,7 @@ def test_cyclotomic_structure(m):
 def test_cyclotomic_cache_concurrent_fill():
     import threading
 
-    from qneg import laurent
-
-    laurent._cyclotomic_cache.clear()
+    cyclotomic_poly.cache_clear()
     results = []
 
     def worker():
@@ -221,7 +219,7 @@ def cyclotomic_by_division(m):
 
 
 def test_cyclotomic_matches_the_division_recursion():
-    laurent._cyclotomic_cache.clear()
+    cyclotomic_poly.cache_clear()
     for m in range(1, 401):
         assert cyclotomic_poly(m) == cyclotomic_by_division(m), m
 

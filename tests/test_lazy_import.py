@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import qneg
 import qneg.cli
 
@@ -22,7 +24,7 @@ PUBLIC = {
     "HybridSet", "standard_new_set", "k_subsets", "subset_count", "qbinom_via_subsets",
     "Direction", "NormalSeries", "PowerSeriesInX", "series_mul", "power_xy",
     "pochhammer_expansion", "verify_chu_vandermonde", "freshman_congruence",
-    "DigitSplit", "PadicDigits", "digit_split", "padic_digits", "is_prime",
+    "PadicDigits", "padic_digits", "is_prime",
     "lucas_product", "verify_lucas", "q_lucas_rhs", "verify_q_lucas",
     "apery", "verify_apery_symmetry", "verify_apery_congruence",
     "__version__",
@@ -94,6 +96,20 @@ def test_star_import_and_dir_cover_all():
     assert set(namespace) - {"__builtins__"} == PUBLIC
     assert all(namespace[name] is getattr(qneg, name) for name in PUBLIC)
     assert PUBLIC <= set(dir(qneg))
+
+
+SUBMODULES = ["laurent", "qbinom", "hybridset", "qseries", "congruence", "apery"]
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_each_submodule_exports_its_share_of_the_table(name):
+    module = importlib.import_module(f"qneg.{name}")
+    expected = [public for public, home in qneg._EXPORTS.items() if home == module.__name__]
+    assert expected and module.__all__ == expected
+    namespace = {}
+    exec(f"from qneg.{name} import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(expected)
+    assert all(namespace[public] is getattr(module, public) for public in expected)
 
 
 def test_each_name_reads_through_its_defining_module(monkeypatch):

@@ -78,7 +78,7 @@ def test_folded_congruence_on_q_lucas_and_negative_controls(n, k, m, j):
 
 def reference_add(self, other):
     if isinstance(other, int):
-        other = LaurentPoly.constant(other)
+        other = LaurentPoly(0, (other,))
     if not isinstance(other, LaurentPoly):
         return NotImplemented
     if not self.coeffs:

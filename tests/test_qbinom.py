@@ -8,7 +8,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qneg.laurent import ONE, ZERO, InvariantError, LaurentPoly
@@ -490,6 +490,50 @@ def test_absorption():
             lhs = (ONE - LaurentPoly.q_power(k)) * qbinom(n, k)
             rhs = (ONE - LaurentPoly.q_power(n)) * qbinom(n - 1, k - 1)
             assert lhs == rhs
+
+
+# -- identities beyond the box, on random |n|, |k| <= 300 ---------------------------
+
+entry = st.integers(-300, 300)
+
+
+def fits(n, k):
+    # every value has a classical reflection [N, K] with K(N - K) + 1
+    # coefficients, the size of its degree profile; cap it at 25,000, since
+    # [599, 300] has 89,701 and takes over a second
+    prof = degree_profile(n, k)
+    return prof is None or prof[1] - prof[0] < 25_000
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry, entry)
+def test_pascal_identity_and_alternate_beyond_the_box(n, k):
+    assume((n, k) != (0, 0) and fits(n, k) and fits(n - 1, k - 1) and fits(n - 1, k))
+    lhs = qbinom(n, k)
+    assert lhs == qbinom(n - 1, k - 1) + qbinom(n - 1, k).shift(k)
+    assert lhs == qbinom(n - 1, k - 1).shift(n - k) + qbinom(n - 1, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry, entry)
+def test_six_forms_and_q_inversion_beyond_the_box(n, k):
+    assume(fits(n, k))
+    lhs = qbinom(n, k)
+    for pre, (n2, k2) in six_forms(n, k):
+        assert pre * qbinom(n2, k2) == lhs, (n2, k2)
+    assert lhs == lhs.substitute_qinv().shift(k * (n - k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry, entry)
+def test_degree_profile_beyond_the_box(n, k):
+    assume(fits(n, k))
+    v = qbinom(n, k)
+    prof = degree_profile(n, k)
+    if v.is_zero():
+        assert prof is None
+    else:
+        assert prof == (v.valuation(), v.degree()) and v.is_self_reciprocal()
 
 
 # -- six forms --------------------------------------------------------------------

@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: f"{__name__}.{module}"
     for module, names in {
-        "laurent": "InvariantError LaurentPoly CyclotomicModulus ZERO ONE Q "
-        "cyclotomic cyclotomic_poly divides congruent_mod",
+        "laurent": "InvariantError LaurentPoly CyclotomicModulus ZERO ONE cyclotomic "
+        "cyclotomic_poly divides congruent_mod",
         "qbinom": "Region sgn region qbinom qbinom_pascal binom six_forms degree_profile",
         "hybridset": "HybridSet standard_new_set k_subsets subset_count qbinom_via_subsets",
         "qseries": "Direction NormalSeries PowerSeriesInX series_mul power_xy "

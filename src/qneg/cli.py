@@ -82,93 +82,107 @@ def _span(rng: tuple[int, int] | None, lo: int, hi: int) -> range:
 # report is therefore deterministic however the sweep is scheduled.
 
 
+def _box(ns, half: int) -> Iterator[tuple[int, int]]:
+    """The (n, k) pairs of --n x --k, each -half..half by default, n-major,
+    after the size guard on their values."""
+    n_values, k_values = _span(ns.n, -half, half), _span(ns.k, -half, half)
+    _check_size(n_values, k_values, False)
+    return ((n, k) for n in n_values for k in k_values)
+
+
 def _suite_pascal(ns) -> Iterator[Case]:
     # q-Pascal, its alternate form, and the absorption identity.
     from .laurent import ONE, LaurentPoly
     from .qbinom import qbinom
 
-    for n in _span(ns.n, -12, 12):
-        for k in _span(ns.k, -12, 12):
-            case = f"pascal n={n} k={k}"
-            if (n, k) == (0, 0):
-                yield case, "skip"
-                continue
-            lhs = qbinom(n, k)
-            ok = lhs == qbinom(n - 1, k - 1) + qbinom(n - 1, k).shift(k)
-            ok = ok and lhs == qbinom(n - 1, k - 1).shift(n - k) + qbinom(n - 1, k)
-            if ok and k != 0:
-                cross = (ONE - LaurentPoly.q_power(k)) * lhs
-                ok = cross == (ONE - LaurentPoly.q_power(n)) * qbinom(n - 1, k - 1)
-            yield case, ok
+    for n, k in _box(ns, 12):
+        case = f"pascal n={n} k={k}"
+        if (n, k) == (0, 0):
+            yield case, "skip"
+            continue
+        lhs = qbinom(n, k)
+        ok = lhs == qbinom(n - 1, k - 1) + qbinom(n - 1, k).shift(k)
+        ok = ok and lhs == qbinom(n - 1, k - 1).shift(n - k) + qbinom(n - 1, k)
+        if ok and k != 0:
+            cross = (ONE - LaurentPoly.q_power(k)) * lhs
+            ok = cross == (ONE - LaurentPoly.q_power(n)) * qbinom(n - 1, k - 1)
+        yield case, ok
 
 
 def _suite_symmetry(ns) -> Iterator[Case]:
     from .qbinom import qbinom
 
-    for n in _span(ns.n, -12, 12):
-        for k in _span(ns.k, -12, 12):
-            yield f"symmetry n={n} k={k}", qbinom(n, k) == qbinom(n, n - k)
+    for n, k in _box(ns, 12):
+        yield f"symmetry n={n} k={k}", qbinom(n, k) == qbinom(n, n - k)
 
 
 def _suite_reflection(ns) -> Iterator[Case]:
     # All six reflection/symmetry forms must reproduce the coefficient.
     from .qbinom import qbinom, six_forms
 
-    for n in _span(ns.n, -12, 12):
-        for k in _span(ns.k, -12, 12):
-            lhs = qbinom(n, k)
-            ok = all(pre * qbinom(n2, k2) == lhs for pre, (n2, k2) in six_forms(n, k))
-            yield f"reflection n={n} k={k}", ok
+    for n, k in _box(ns, 12):
+        lhs = qbinom(n, k)
+        ok = all(pre * qbinom(n2, k2) == lhs for pre, (n2, k2) in six_forms(n, k))
+        yield f"reflection n={n} k={k}", ok
 
 
 def _suite_qinv(ns) -> Iterator[Case]:
     from .qbinom import qbinom
 
-    for n in _span(ns.n, -12, 12):
-        for k in _span(ns.k, -12, 12):
-            v = qbinom(n, k)
-            ok = v == v.substitute_qinv().shift(k * (n - k))
-            yield f"qinv n={n} k={k}", ok
+    for n, k in _box(ns, 12):
+        v = qbinom(n, k)
+        yield f"qinv n={n} k={k}", v == v.substitute_qinv().shift(k * (n - k))
 
 
 def _suite_degrees(ns) -> Iterator[Case]:
     from .qbinom import degree_profile, qbinom
 
-    for n in _span(ns.n, -12, 12):
-        for k in _span(ns.k, -12, 12):
-            v = qbinom(n, k)
-            prof = degree_profile(n, k)
-            if v.is_zero():
-                ok = prof is None
-            else:
-                ok = prof == (v.valuation(), v.degree()) and v.is_self_reciprocal()
-            yield f"degrees n={n} k={k}", ok
+    for n, k in _box(ns, 12):
+        v = qbinom(n, k)
+        prof = degree_profile(n, k)
+        if v.is_zero():
+            ok = prof is None
+        else:
+            ok = prof == (v.valuation(), v.degree()) and v.is_self_reciprocal()
+        yield f"degrees n={n} k={k}", ok
 
 
 def _suite_subsets(ns) -> Iterator[Case]:
     from .hybridset import qbinom_via_subsets, subset_count
     from .qbinom import binom, qbinom, qbinom_pascal
 
-    for n in _span(ns.n, -7, 7):
-        for k in _span(ns.k, -7, 7):
-            ok = qbinom_via_subsets(n, k) == qbinom(n, k)
-            ok = ok and subset_count(n, k) == abs(binom(n, k))
-            ok = ok and qbinom_pascal(n, k) == qbinom(n, k)
-            yield f"subsets n={n} k={k}", ok
+    box = list(_box(ns, 7))
+    # each of the |binom(n, k)| subsets is enumerated
+    _check_total((abs(binom(n, k)) for n, k in box), "subsets")
+    for n, k in box:
+        ok = qbinom_via_subsets(n, k) == qbinom(n, k)
+        ok = ok and subset_count(n, k) == abs(binom(n, k))
+        ok = ok and qbinom_pascal(n, k) == qbinom(n, k)
+        yield f"subsets n={n} k={k}", ok
 
 
 def _suite_chu(ns) -> Iterator[Case]:
+    from .qbinom import degree_profile
     from .qseries import verify_chu_vandermonde
 
     nspan, mspan, kspan = _span(ns.n, -5, 5), _span(ns.m, -5, 5), _span(ns.k, -6, 6)
-    for n in nspan:
-        for m in mspan:
-            for k in (kk for kk in kspan if kk >= 0):
-                yield f"chu n={n} m={m} k={k}", verify_chu_vandermonde(n, m, k)
-    for n in (x for x in nspan if x < 0):
-        for m in (x for x in mspan if x < 0):
-            for k in (kk for kk in kspan if kk < 0):
-                yield f"chu n={n} m={m} k={k}", verify_chu_vandermonde(n, m, k)
+
+    def triples() -> Iterator[tuple[int, int, int]]:
+        for n in nspan:
+            for m in mspan:
+                yield from ((n, m, k) for k in kspan if k >= 0)
+        for n in (x for x in nspan if x < 0):
+            for m in (x for x in mspan if x < 0):
+                yield from ((n, m, k) for k in kspan if k < 0)
+
+    # the sum has up to |k| + 1 terms, each counted at the size of [n + m, k]
+    sizes = (
+        (abs(k) + 1) * _value_size(n + m, k, False, degree_profile(n + m, k))
+        for n, m, k in triples()
+    )
+    _check_total(sizes, "coefficients")
+    for n, m, k in triples():
+        yield f"chu n={n} m={m} k={k}", verify_chu_vandermonde(n, m, k)
 
 
 def _suite_qbt(ns) -> Iterator[Case]:
@@ -176,12 +190,11 @@ def _suite_qbt(ns) -> Iterator[Case]:
     from .qbinom import qbinom
     from .qseries import pochhammer_expansion
 
-    trunc = 10 if ns.trunc is None else ns.trunc
     n_values = _span(ns.n, -5, 5)
-    _check_size(n_values, range(trunc), False)
+    _check_size(n_values, range(ns.trunc), False)
     for n in n_values:
-        series = pochhammer_expansion(n, trunc)
-        for k in range(trunc):
+        series = pochhammer_expansion(n, ns.trunc)
+        for k in range(ns.trunc):
             expect = qbinom(n, k).shift(k * (k - 1) // 2)
             yield f"qbt n={n} k={k}", series.coefficient(k) == expect
 
@@ -191,17 +204,16 @@ def _suite_ncqbt(ns) -> Iterator[Case]:
     from .qbinom import qbinom
     from .qseries import Direction, power_xy
 
-    trunc = 10 if ns.trunc is None else ns.trunc
     n_values = _span(ns.n, -6, 6)
     # qbinom(n, k) = qbinom(n, n - k): the window from infinity holds the
     # values of the window from zero
-    _check_size(n_values, range(trunc), False, copies=2)
+    _check_size(n_values, range(ns.trunc), False, copies=2)
     for n in n_values:
-        from_zero = power_xy(n, Direction.FROM_ZERO, trunc)
-        for k in range(trunc):
+        from_zero = power_xy(n, Direction.FROM_ZERO, ns.trunc)
+        for k in range(ns.trunc):
             yield f"ncqbt zero n={n} k={k}", from_zero.coefficient(k) == qbinom(n, k)
-        from_inf = power_xy(n, Direction.FROM_INFINITY, trunc)
-        for k in range(n, n - trunc, -1):
+        from_inf = power_xy(n, Direction.FROM_INFINITY, ns.trunc)
+        for k in range(n, n - ns.trunc, -1):
             yield f"ncqbt inf n={n} k={k}", from_inf.coefficient(k) == qbinom(n, k)
 
 
@@ -227,10 +239,10 @@ def _suite_qlucas(ns) -> Iterator[Case]:
             f"modulus {moduli[-1]:,} is too large (Phi_m has up to m coefficients; "
             f"the limit is {MAX_COEFFICIENTS:,})"
         )
+    box = list(_box(ns, 15))
     for m in moduli:
-        for n in _span(ns.n, -15, 15):
-            for k in _span(ns.k, -15, 15):
-                yield f"qlucas m={m} n={n} k={k}", verify_q_lucas(n, k, m)
+        for n, k in box:
+            yield f"qlucas m={m} n={n} k={k}", verify_q_lucas(n, k, m)
 
 
 def _suite_freshman(ns) -> Iterator[Case]:
@@ -314,22 +326,25 @@ def _value_size(n: int, k: int, q1: bool, profile: tuple[int, int] | None) -> in
 def _check_size(n_values: range, k_values: range, q1: bool, copies: int = 1) -> None:
     """Refuse, as a usage error, a grid whose values, each held `copies`
     times, hold more than MAX_COEFFICIENTS coefficients, or with q1 digits,
-    in all.  The count stops at the first value that takes it past the
-    limit."""
-    total = copies * len(n_values) * len(k_values)  # each value counts one or more
-    if total <= MAX_COEFFICIENTS:
-        from itertools import accumulate
+    in all."""
+    from .qbinom import degree_profile
 
-        from .qbinom import degree_profile
+    sizes = (
+        copies * _value_size(n, k, q1, degree_profile(n, k)) for n in n_values for k in k_values
+    )
+    # each value counts one or more, so a grid of more cells than the limit
+    # needs no count
+    cells = copies * len(n_values) * len(k_values)
+    _check_total([cells] if cells > MAX_COEFFICIENTS else sizes, "digits" if q1 else "coefficients")
 
-        sizes = (
-            copies * _value_size(n, k, q1, degree_profile(n, k))
-            for n in n_values
-            for k in k_values
-        )
-        total = next((t for t in accumulate(sizes) if t > MAX_COEFFICIENTS), 0)
-    if total > MAX_COEFFICIENTS:
-        unit = "digits" if q1 else "coefficients"
+
+def _check_total(sizes: Iterable[int], unit: str) -> None:
+    """Refuse, as a usage error, sizes that sum to more than MAX_COEFFICIENTS.
+    The sum stops at the first size that takes it past the limit."""
+    from itertools import accumulate
+
+    total = next((t for t in accumulate(sizes) if t > MAX_COEFFICIENTS), 0)
+    if total:
         raise ValueError(
             f"the result is too large ({total:,} {unit} by estimate; "
             f"the limit is {MAX_COEFFICIENTS:,})"
@@ -374,6 +389,13 @@ def _lucas(ns) -> int:
 def _qlucas(ns):
     from .congruence import q_lucas_rhs
 
+    if ns.m < 2:
+        raise ValueError(f"modulus must be at least 2, got {ns.m}")
+    # q_lucas_rhs multiplies qbinom(n0, k0) by the integer binom(n1, k1)
+    n1, n0 = divmod(ns.n, ns.m)
+    k1, k0 = divmod(ns.k, ns.m)
+    _check_size(range(n0, n0 + 1), range(k0, k0 + 1), False)
+    _check_size(range(n1, n1 + 1), range(k1, k1 + 1), True)
     return q_lucas_rhs(ns.n, ns.k, ns.m)
 
 
@@ -452,19 +474,18 @@ def _cmd_expand(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    if ns.trunc is not None and ns.trunc < 1:
+    if ns.trunc < 1:
         raise ValueError(f"--trunc must be at least 1, got {ns.trunc}")
-    checked = passed = skipped = 0
+    checked = skipped = 0
     failures: list[str] = []
     for case, outcome in SUITES[ns.suite](ns):
         if outcome == "skip":
             skipped += 1
             continue
         checked += 1
-        if outcome:
-            passed += 1
-        else:
+        if not outcome:
             failures.append(case)
+    passed = checked - len(failures)
 
     def report() -> Iterator[str]:
         for case in failures:
@@ -540,7 +561,7 @@ COMMANDS = {
         {
             "suite": {"choices": sorted(SUITES)},
             **dict.fromkeys(RANGE_FLAGS, {**_RANGE, "required": False}),
-            "--trunc": {"type": int},
+            "--trunc": {"type": int, "default": 10},
         },
         _cmd_verify,
     ),

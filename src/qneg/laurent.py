@@ -280,7 +280,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly(0, ())
 ONE = LaurentPoly(0, (1,))
-Q = LaurentPoly(1, (1,))
 
 # Products whose shorter factor has fewer coefficients than this use the
 # schoolbook convolution; longer ones use Kronecker substitution.  Measured

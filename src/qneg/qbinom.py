@@ -158,16 +158,14 @@ def qbinom(n: int, k: int) -> LaurentPoly:
         _DIAGONALS[n - k, k] = value
         return value
     if reg is Region.NEGATIVE_N:
-        doubled = k * (2 * n - k + 1)
-        if doubled % 2:
-            raise InvariantError(f"odd q-shift exponent at ({n}, {k})")
-        sign = -1 if k % 2 else 1
-        return (qbinom(k - n - 1, k) * sign).shift(doubled // 2)
-    doubled = n * (n + 1) - k * (k + 1)
+        doubled, sign = k * (2 * n - k + 1), -1 if k % 2 else 1
+        top, j = k - n - 1, k
+    else:
+        doubled, sign = n * (n + 1) - k * (k + 1), -1 if (n - k) % 2 else 1
+        top, j = -k - 1, -n - 1
     if doubled % 2:
         raise InvariantError(f"odd q-shift exponent at ({n}, {k})")
-    sign = -1 if (n - k) % 2 else 1
-    return (qbinom(-k - 1, -n - 1) * sign).shift(doubled // 2)
+    return (qbinom(top, j) * sign).shift(doubled // 2)
 
 
 def binom(n: int, k: int) -> int:

@@ -246,6 +246,95 @@ def test_series_size_limit_counts_every_window(capsys, monkeypatch, argv, size):
     assert err.startswith("error: the result is too large") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qlucas", "--n", "4000", "--k", "2000", "--m", "100000"],
+        ["verify", "symmetry", "--n", "3000", "--k", "1500"],
+        ["verify", "subsets", "--n", "34", "--k", "17"],
+        ["verify", "chu", "--n", "600", "--m", "600", "--k", "300"],
+    ],
+    ids=["qlucas", "box", "subsets", "chu"],
+)
+def test_sweeps_refuse_a_huge_box_at_once(argv):
+    # each ran for more than 20 s without its guard: qbinom(4000, 2000) has
+    # 4,000,001 coefficients, (34, 17) only 290 but 2,333,606,220 subsets,
+    # and chu sums 301 products as large as [1200, 300]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qneg", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
+
+
+@pytest.mark.parametrize("m", ["0", "1", "-3"])
+def test_qlucas_command_refuses_a_modulus_below_two(capsys, m):
+    # the size guard splits the digits base m, which m = 0 cannot do
+    code, out, err = run_cli(capsys, "qlucas", "--n", "5", "--k", "2", "--m", m)
+    assert (code, out, err) == (2, "", f"error: modulus must be at least 2, got {m}\n")
+
+
+_CHU = [(n, m, k) for n in range(-2, 2) for m in range(-2, 0) for k in range(2)]
+_CHU += [(n, m, k) for n in range(-2, 0) for m in range(-2, 0) for k in range(-2, 0)]
+
+BOX_SIZES = [
+    (
+        ["verify", "symmetry", "--n", "-2..3", "--k", "-1..2"],
+        sum(_held(n, range(-1, 3)) for n in range(-2, 4)),
+    ),
+    (
+        ["verify", "qlucas", "--m", "3..4", "--n", "-2..3", "--k", "-1..2"],
+        sum(_held(n, range(-1, 3)) for n in range(-2, 4)),
+    ),
+    # 33 coefficients, 55 subsets
+    (["verify", "subsets", "--n", "5..6", "--k", "2..3"], 10 + 10 + 15 + 20),
+    (
+        ["verify", "chu", "--n", "-2..1", "--m", "-2..-1", "--k", "-2..1"],
+        sum((abs(k) + 1) * _held(n + m, [k]) for n, m, k in _CHU),
+    ),
+    # [7, 4] has 13 coefficients and binom(1, 1) one digit
+    (["qlucas", "--n", "17", "--k", "14", "--m", "10"], _held(7, [4])),
+    # [1, 1] has one coefficient and binom(20, 10) at most 7 digits
+    (["qlucas", "--n", "41", "--k", "21", "--m", "2"], 7),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    BOX_SIZES,
+    ids=["box", "qlucas", "subsets", "chu", "qlucas-poly", "qlucas-int"],
+)
+def test_box_size_limit_counts_every_value(capsys, monkeypatch, argv, size):
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", size)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", size - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the result is too large") and err.count("\n") == 1
+
+
+def test_subset_count_stops_at_the_first_value_past_the_limit(capsys, monkeypatch):
+    # the running sum over the box is 10, 20, 35, 55
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 34)
+    code, out, err = run_cli(capsys, "verify", "subsets", "--n", "5..6", "--k", "2..3")
+    assert (code, out) == (2, "")
+    assert err == "error: the result is too large (35 subsets by estimate; the limit is 34)\n"
+
+
+def test_box_yields_the_nested_loop_order():
+    ns = argparse.Namespace(n=(-1, 2), k=None)
+    assert list(cli._box(ns, 1)) == [(n, k) for n in range(-1, 3) for k in range(-1, 2)]
+    ns = argparse.Namespace(n=None, k=(3, 4))
+    assert list(cli._box(ns, 2)) == [(n, k) for n in range(-2, 3) for k in (3, 4)]
+
+
 def test_freshman_admits_the_largest_modulus_that_fits(capsys):
     assert _freshman_size(181) <= cli.MAX_COEFFICIENTS < _freshman_size(182)
     assert run_cli(capsys, "verify", "freshman", "--m", "181") == (0, "checked 1, passed 1\n", "")

@@ -17,7 +17,7 @@ import qneg.cli
 SRC = str(Path(qneg.__file__).resolve().parent.parent)
 
 PUBLIC = {
-    "InvariantError", "LaurentPoly", "CyclotomicModulus", "ZERO", "ONE", "Q",
+    "InvariantError", "LaurentPoly", "CyclotomicModulus", "ZERO", "ONE",
     "cyclotomic", "cyclotomic_poly", "divides", "congruent_mod",
     "Region", "sgn", "region", "qbinom", "qbinom_pascal", "binom", "six_forms",
     "degree_profile",

@@ -168,12 +168,16 @@ def _suite_chu(ns) -> Iterator[Case]:
     nspan, mspan, kspan = _span(ns.n, -5, 5), _span(ns.m, -5, 5), _span(ns.k, -6, 6)
 
     def triples() -> Iterator[tuple[int, int, int]]:
-        for n in nspan:
-            for m in mspan:
-                yield from ((n, m, k) for k in kspan if k >= 0)
-        for n in (x for x in nspan if x < 0):
-            for m in (x for x in mspan if x < 0):
-                yield from ((n, m, k) for k in kspan if k < 0)
+        # k >= 0 for every n and m, then k < 0 for n, m < 0; a branch that
+        # has no k walks no (n, m) pair
+        ks = range(max(kspan.start, 0), kspan.stop)
+        if ks:
+            yield from ((n, m, k) for n in nspan for m in mspan for k in ks)
+        ks = range(kspan.start, min(kspan.stop, 0))
+        if ks:
+            negative_n = range(nspan.start, min(nspan.stop, 0))
+            negative_m = range(mspan.start, min(mspan.stop, 0))
+            yield from ((n, m, k) for n in negative_n for m in negative_m for k in ks)
 
     # the sum has up to |k| + 1 terms, each counted at the size of [n + m, k]
     sizes = (
@@ -221,10 +225,16 @@ def _suite_lucas(ns) -> Iterator[Case]:
     from .congruence import is_prime, lucas_product, verify_lucas
     from .qbinom import binom
 
-    primes = [p for p in _span(ns.p, 2, 11) if is_prime(p)]
+    p_values, n_values, k_values = _span(ns.p, 2, 11), _span(ns.n, -50, 50), _span(ns.k, -50, 50)
+    # each case counts one, and the largest binom(n, k) that a case builds,
+    # below 2^(|n| + |k|) on every region, counts its digits
+    bits = max(-n_values[0], n_values[-1]) + max(-k_values[0], k_values[-1])
+    cases = len(p_values) * len(n_values) * len(k_values)
+    _check_total([cases, bits * 30103 // 100000 + 1], "digits")
+    primes = [p for p in p_values if is_prime(p)]
     for p in primes:
-        for n in _span(ns.n, -50, 50):
-            for k in _span(ns.k, -50, 50):
+        for n in n_values:
+            for k in k_values:
                 ok = verify_lucas(n, k, p)
                 ok = ok and lucas_product(n, k, p) == binom(n, k) % p
                 yield f"lucas p={p} n={n} k={k}", ok
@@ -266,7 +276,14 @@ APERY_CONGRUENCE_CASES = (
 def _suite_apery(ns) -> Iterator[Case]:
     from .apery import verify_apery_congruence, verify_apery_symmetry
 
-    for n in _span(ns.n, 0, 25):
+    n_values = _span(ns.n, 0, 25)
+    # the sum at -n has at most |n| + 1 terms, each at most A(|n|) or
+    # A(|n| - 1).  With t_k = C(n, k) C(n + k, k), A(n) is at most
+    # (sum of t_k)^2 = P_n(3)^2, and Laplace's integral for the Legendre
+    # polynomial gives P_n(3) <= (3 + 2 sqrt 2)^n, so A(n) < 34^n for n >= 1:
+    # a term has at most |n| log10(34) + 1 digits, log10(34) < 1.5315
+    _check_total(((abs(n) + 1) * (abs(n) * 15315 // 10000 + 1) for n in n_values), "digits")
+    for n in n_values:
         yield f"apery symmetry n={n}", verify_apery_symmetry(n)
     for p, r, m, variant in APERY_CONGRUENCE_CASES:
         ok = verify_apery_congruence(p, r, m, variant)

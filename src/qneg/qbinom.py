@@ -13,10 +13,12 @@ They must agree everywhere, and the test suite holds them to that.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
 import operator
+import threading
 import weakref
 
 from . import _public
@@ -47,7 +49,9 @@ def region(n: int, k: int) -> Region:
     return Region.DOUBLE_NEGATIVE if k <= n else Region.VANISHING
 
 
-def _classical_coeffs(n: int, k: int, start: LaurentPoly | None = None) -> list[int]:
+def _classical_coeffs(
+    n: int, k: int, start: LaurentPoly | None = None, diagonal: int | None = None
+) -> list[int]:
     """Ascending coefficients of the classical Gaussian polynomial, 0 <= k <= n.
 
     Built as the product over i = 1..k of (1 - q^(n-k+i)) / (1 - q^i) with the
@@ -73,41 +77,49 @@ def _classical_coeffs(n: int, k: int, start: LaurentPoly | None = None) -> list[
     q = -1 as well.
 
     The partial quotients [m+1, 1], [m+2, 2], ... lie on one diagonal
-    m = n - k, so a known [m+j, j] with j <= min(k, n - k) may be passed as
-    start: its leading j*m // 2 + 1 coefficients seed the window, and the
-    steps run from j + 1 on, each with its palindrome check.  A start that
-    is not a palindrome of degree j*m raises InvariantError.
+    m = n - k (k <= n - k), so a known [a+j, j] with 1 <= a <= m and
+    j <= min(k, n - k) may be passed as start, and a as diagonal (m by
+    default).  Its leading a*j // 2 + 1 coefficients seed the window.  Since
+    [a+j, j] = [j+a, a] lies on the diagonal j, the walk first takes the
+    steps of that diagonal from depth a + 1 to m, multiplying by
+    (1 - q^(j+t)) and dividing by (1 - q^t), which end at [m+j, j]; then the
+    steps j + 1..k of the diagonal m.  Each step keeps its palindrome check.
+    A start that is not a palindrome of degree a*j raises InvariantError.
     """
     k = min(k, n - k)
     m = n - k
-    coeffs, prev, first = [1], 0, 1  # the quotient [m, 0] = 1 and its degree
+    coeffs, prev, j, a = [1], 0, 0, m  # [m, 0] = 1, its degree, depth and diagonal
     if start is not None and k:
+        a = m if diagonal is None else diagonal
         seed = start.coeffs
-        j, rest = divmod(len(seed) - 1, m)
-        if start.val or rest or not 0 <= j <= k or seed != seed[::-1]:
-            raise InvariantError(f"start is not a palindrome [{m} + j, j] with j <= {k}")
-        coeffs, prev, first = list(seed[: j * m // 2 + 1]), j * m, j + 1
-    for i in range(first, k + 1):
-        top, deg = m + i, i * m
-        mid = deg // 2
-        width = min(mid + 1 + i, deg + 1)
-        _mirror(coeffs, prev, width)
-        # multiply by (1 - q^top), modulo q^width
-        prod = coeffs + [0] * (width - len(coeffs))
-        prod[top:] = map(operator.sub, prod[top:], coeffs)
-        _divide_by_one_minus_q_power(prod, i)
-        if prod[mid + 1 :] != prod[deg + 1 - width : deg - mid][::-1]:
-            raise InvariantError(f"partial quotient [{top}, {i}] is not palindromic")
-        coeffs, prev = prod, deg
-    _mirror(coeffs, prev, prev + 1)
+        j = (len(seed) - 1) // a if 0 < a <= m else -1
+        if start.val or not 0 <= j <= k or j * a != len(seed) - 1 or seed != seed[::-1]:
+            raise InvariantError(
+                f"start is not a palindrome [{a} + j, j] with j <= {k} on a diagonal 1..{m}"
+            )
+        coeffs, prev = list(seed[: j * a // 2 + 1]), j * a
+    # the diagonal j from depth a to m, then the diagonal m from j to k
+    for d, lo, hi in ((j, a, m), (m, j, k)) if a < m else ((m, j, k),):
+        # the window of [m+j, j] can be wider than that of the next step:
+        # cut it to the half that every window covers
+        del coeffs[prev // 2 + 1 :]
+        for i in range(lo + 1, hi + 1):
+            top, deg = d + i, i * d
+            mid = deg // 2
+            width = min(mid + 1 + i, deg + 1)
+            # extend the window of [top - 1, i - 1], a palindrome of degree
+            # prev, by mirror to width coefficients, or to all prev + 1
+            coeffs += reversed(coeffs[prev + 1 - min(width, prev + 1) : prev + 1 - len(coeffs)])
+            # multiply by (1 - q^top), modulo q^width
+            prod = coeffs + [0] * (width - len(coeffs))
+            prod[top:] = map(operator.sub, prod[top:], coeffs)
+            _divide_by_one_minus_q_power(prod, i)
+            if prod[mid + 1 :] != prod[deg + 1 - width : deg - mid][::-1]:
+                raise InvariantError(f"partial quotient [{top}, {i}] is not palindromic")
+            coeffs, prev = prod, deg
+    coeffs += reversed(coeffs[: prev + 1 - len(coeffs)])  # all of [m+k, k]
     _check_at_plus_minus_one(n, k, coeffs)
     return coeffs
-
-
-def _mirror(coeffs: list[int], deg: int, length: int) -> None:
-    """Extend the leading coefficients of a palindrome of degree deg, at least
-    half of them, in place by mirror to min(length, deg + 1) coefficients."""
-    coeffs += reversed(coeffs[deg + 1 - min(length, deg + 1) : deg + 1 - len(coeffs)])
 
 
 def _check_at_plus_minus_one(n: int, k: int, coeffs: list[int]) -> None:
@@ -121,10 +133,55 @@ def _check_at_plus_minus_one(n: int, k: int, coeffs: list[int]) -> None:
         raise InvariantError(f"Gaussian binomial [{n}, {k}] is wrong at q = -1")
 
 
-# The classical values computed so far, by diagonal: [m+j, j] under (m, j).
-# Weak references only, so it holds no value that the cache of qbinom has
-# dropped, and qbinom.cache_clear() empties it too.
-_DIAGONALS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The classical values computed so far: [a+j, j] with 1 <= j <= a as a weak
+# reference under (a, j), and the depths j held on each diagonal a, in
+# ascending order.  A value's death removes both, so the index holds nothing
+# that the cache of qbinom has dropped, and qbinom.cache_clear() empties it.
+# The lock keeps the two in step across threads; it is reentrant because a
+# garbage collection inside a locked section can run a callback.
+_DIAGONALS: dict[tuple[int, int], weakref.ref] = {}
+_DEPTHS: dict[int, list[int]] = {}
+_INDEX_LOCK = threading.RLock()
+
+
+def _remember(a: int, j: int, value: LaurentPoly) -> None:
+    def forget(ref: weakref.ref) -> None:
+        with _INDEX_LOCK:
+            if _DIAGONALS.get((a, j)) is ref:
+                del _DIAGONALS[a, j]
+                depths = _DEPTHS[a]
+                depths.remove(j)
+                if not depths:
+                    del _DEPTHS[a]
+
+    ref = weakref.ref(value, forget)
+    with _INDEX_LOCK:
+        if _DIAGONALS.setdefault((a, j), ref) is ref:
+            bisect.insort(_DEPTHS.setdefault(a, []), j)
+
+
+def _nearest_start(m: int, k: int) -> tuple[LaurentPoly | None, int]:
+    """The held [a+j, j] with a <= m and j <= k from which the walk to
+    [m+k, k] costs least, and its diagonal a; (None, m) for the walk from
+    [m, 0].  A walk from [a+j, j] adds about j (m^2 - a^2) + m (k^2 - j^2)
+    coefficients, which on each diagonal is least at its deepest j <= k or
+    at j = 0, and is at least min(m k^2, k (m^2 - a^2)); so the scan down
+    the diagonals stops once k (m^2 - a^2) reaches the least cost found."""
+    best, start, diagonal = m * k * k, None, m
+    with _INDEX_LOCK:
+        a = m
+        while a and k * (m * m - a * a) < best:
+            depths = _DEPTHS.get(a)
+            if depths and (i := bisect.bisect_right(depths, k)):
+                j = depths[i - 1]
+                cost = j * (m * m - a * a) + m * (k * k - j * j)
+                # a collection may have cleared the reference and not yet
+                # run its callback, or run it in this thread meanwhile
+                ref = _DIAGONALS.get((a, j))
+                if cost < best and ref is not None and (value := ref()) is not None:
+                    best, start, diagonal = cost, value, a
+            a -= 1
+    return start, diagonal
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,11 +208,10 @@ def qbinom(n: int, k: int) -> LaurentPoly:
         return ZERO
     if reg is Region.CLASSICAL:
         k = min(k, n - k)
-        j = k
-        while j and (start := _DIAGONALS.get((n - k, j))) is None:
-            j -= 1
-        value = LaurentPoly(0, _classical_coeffs(n, k, start if j else None))
-        _DIAGONALS[n - k, k] = value
+        start, diagonal = _nearest_start(n - k, k)
+        value = LaurentPoly(0, _classical_coeffs(n, k, start, diagonal))
+        if k:
+            _remember(n - k, k, value)
         return value
     if reg is Region.NEGATIVE_N:
         doubled, sign = k * (2 * n - k + 1), -1 if k % 2 else 1

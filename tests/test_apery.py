@@ -102,3 +102,22 @@ def test_congruence_rejects_bad_inputs():
         verify_apery_congruence(5, 1, 0, "beukers")
     with pytest.raises(ValueError):
         verify_apery_congruence(5, 1, 1, "euler")
+
+
+def test_apery_is_below_34_to_the_n():
+    # A(n) <= P_n(3)^2 <= (17 + 12 sqrt 2)^n, and 17 + 12 sqrt 2 < 34: the
+    # bound behind the size guard of the apery sweep
+    assert apery(0) == 1
+    for n in range(1, 600):
+        assert apery(n) < 34**n, n
+    assert 17 + 12 * math.sqrt(2) < 34 and math.log10(34) < 1.5315
+
+
+def test_apery_terms_at_minus_n_fit_the_digit_bound():
+    # the sum at -n has at most |n| + 1 nonzero terms, each of at most
+    # |n| * 1.5315 + 1 digits
+    for n in range(-120, 121):
+        hi = n - 1 if n > 0 else -n
+        terms = [reflected_comb(-n, k) ** 2 * reflected_comb(k - n, k) ** 2 for k in range(hi + 1)]
+        assert len(terms) <= abs(n) + 1
+        assert max(len(str(t)) for t in terms) <= abs(n) * 15315 // 10000 + 1, n

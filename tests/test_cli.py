@@ -273,6 +273,72 @@ def test_sweeps_refuse_a_huge_box_at_once(argv):
     assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lucas", "--p", "2", "--n", "20000000", "--k", "10000000"],
+        ["verify", "apery", "--n", "0..5000"],
+    ],
+    ids=["lucas", "apery"],
+)
+def test_lucas_and_apery_sweeps_refuse_a_huge_range_at_once(argv):
+    # each ran for more than 15 s without its guard: binom(20000000,
+    # 10000000) has about 6,000,000 digits, and the sums at -1..-5000 build
+    # about 12.5 million terms of up to about 7,650 digits
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qneg", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "the limit is 1,000,000" in proc.stderr
+
+
+def test_chu_with_no_cases_does_no_work():
+    # k < 0 needs n, m < 0, so this selects no case; it once walked all
+    # 10^10 (n, m) pairs
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    argv = ["verify", "chu", "--n", "0..100000", "--m", "0..100000", "--k", "-1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qneg", *argv], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "checked 0, passed 0\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv,size",
+    [
+        # 289 cases, and binom(n, k) with |n| + |k| <= 16 has at most 5 digits
+        (["verify", "lucas", "--p", "3", "--n", "-8..8", "--k", "-8..8"], 289 + 5),
+        # 10 values of p are counted, 4 of them prime
+        (["verify", "lucas", "--p", "2..11", "--n", "3..5", "--k", "-1..0"], 60 + 2),
+        # (|n| + 1) terms of |n| * 1.5315 + 1 digits each, for n = -2..3
+        (["verify", "apery", "--n", "-2..3"], 12 + 4 + 1 + 4 + 12 + 20),
+    ],
+    ids=["lucas", "lucas-p-range", "apery"],
+)
+def test_lucas_and_apery_size_limit_counts(capsys, monkeypatch, argv, size):
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", size)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", size - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the result is too large ({size:,} digits by estimate; the limit is {size - 1:,})\n"
+    )
+
+
+def test_lucas_digit_bound_covers_every_value():
+    for n in range(-60, 61):
+        for k in range(-60, 61):
+            assert len(str(abs(binom(n, k)))) <= (abs(n) + abs(k)) * 30103 // 100000 + 1, (n, k)
+
+
 @pytest.mark.parametrize("m", ["0", "1", "-3"])
 def test_qlucas_command_refuses_a_modulus_below_two(capsys, m):
     # the size guard splits the digits base m, which m = 0 cannot do

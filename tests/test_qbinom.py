@@ -412,6 +412,212 @@ def test_diagonal_index_retains_nothing_after_cache_clear():
     assert list(qbinom_module._DIAGONALS.values()) == []
 
 
+# -- resuming from a lower diagonal ----------------------------------------------
+
+
+@st.composite
+def column_walks(draw):
+    """(a, j, m, k) with 1 <= j <= k <= m and 1 <= a <= m: the walk from
+    [a+j, j] to [m+k, k] takes the steps of the diagonal j from depth a to
+    m, then those of the diagonal m from j to k."""
+    m = draw(st.integers(1, 200))
+    k = draw(st.integers(1, min(m, 100)))
+    return draw(st.integers(1, m)), draw(st.integers(1, k)), m, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_walks())
+@example((1, 1, 1, 1))
+@example((3, 1, 5, 1))  # column steps only, each built whole
+@example((10, 2, 200, 2))  # column windows wider than the next diagonal's
+@example((199, 100, 200, 100))
+def test_kernel_resumed_from_a_lower_diagonal_matches_half_oracle(walk):
+    a, j, m, k = walk
+    expected = classical_coeffs_half(m + k, k)
+    start = qbinom(a + j, j)
+    assert _classical_coeffs(m + k, k, start=start, diagonal=a) == expected
+    assert _classical_coeffs(m + k, m, start=start, diagonal=a) == expected
+
+
+def test_warm_values_equal_cold_ones_in_shuffled_orders():
+    # each cold value is computed from an empty cache and an empty index, so
+    # it runs every step from [m, 0] = 1
+    depths = sys.modules["qneg.qbinom"]._DEPTHS
+    box = [(n, k) for n in range(-40, 41) for k in range(-40, 41)]
+    expected = {}
+    for pair in box:
+        qbinom.cache_clear()
+        assert depths == {}
+        value = qbinom(*pair)
+        expected[pair] = (value.val, value.coeffs)
+        del value
+    for seed in (1, 2, 3):
+        order = box[:]
+        random.Random(seed).shuffle(order)
+        qbinom.cache_clear()
+        warm = {pair: qbinom(*pair) for pair in order}
+        assert {pair: (v.val, v.coeffs) for pair, v in warm.items()} == expected, seed
+        del warm
+
+
+@pytest.mark.parametrize(
+    "a, j, m, k, step, i",
+    [
+        (3, 1, 5, 1, 4, 0),  # [5, 4]: degree 4, built whole
+        (30, 10, 40, 20, 35, 190),  # [45, 35]: degree 350, built to 210
+        (30, 10, 40, 20, 35, 160),  # the mirror partner of coefficient 190
+    ],
+)
+def test_kernel_checks_every_column_step_for_palindromy(monkeypatch, a, j, m, k, step, i):
+    # the column steps come first, so the first division by 1 - q^step is
+    # that of [j + step, step]
+    start = qbinom(a + j, j)
+    qbinom_module = sys.modules["qneg.qbinom"]
+    divide = qbinom_module._divide_by_one_minus_q_power
+
+    def divide_and_corrupt(prod, d):
+        divide(prod, d)
+        if d == step:
+            prod[i] += 1
+
+    monkeypatch.setattr(qbinom_module, "_divide_by_one_minus_q_power", divide_and_corrupt)
+    with pytest.raises(InvariantError, match=rf"\[{j + step}, {step}\] is not palindromic"):
+        _classical_coeffs(m + k, k, start=start, diagonal=a)
+
+
+@pytest.mark.parametrize(
+    "a, j, m, k", [(1, 1, 2, 1), (3, 2, 6, 2), (3, 2, 6, 5), (12, 11, 30, 30), (20, 12, 29, 13)]
+)
+def test_kernel_rejects_a_column_start_with_one_coefficient_changed(a, j, m, k):
+    start = qbinom(a + j, j)
+    for t in range(len(start.coeffs)):
+        changed = list(start.coeffs)
+        changed[t] += 1
+        with pytest.raises(InvariantError):
+            _classical_coeffs(m + k, k, start=LaurentPoly(0, changed), diagonal=a)
+
+
+def test_kernel_rejects_a_start_off_its_stated_diagonal():
+    # [20, 5] lies on the diagonal 15
+    for start, diagonal in [
+        (qbinom(22, 5), 17),  # a diagonal past 15
+        (qbinom(18, 6), 12),  # a depth past 5
+        (qbinom(16, 4), 11),  # [16, 4] lies on the diagonal 12
+        (qbinom(5, 1), 0),
+    ]:
+        with pytest.raises(InvariantError, match="not a palindrome"):
+            _classical_coeffs(20, 5, start=start, diagonal=diagonal)
+
+
+def test_nearest_start_picks_the_least_cost_source():
+    qbinom_module = sys.modules["qneg.qbinom"]
+    nearest = qbinom_module._nearest_start
+    qbinom.cache_clear()
+    assert nearest(45, 12) == (None, 45)
+    shallow = qbinom(42, 2)  # diagonal 40, depth 2: 2 (45^2 - 40^2) + 45 (12^2 - 2^2)
+    assert 2 * (45**2 - 40**2) + 45 * (12**2 - 2**2) > 45 * 12**2
+    assert nearest(45, 12) == (None, 45)
+    lower = qbinom(50, 10)  # diagonal 40, depth 10: 10 (45^2 - 40^2) + 45 (12^2 - 10^2)
+    assert 10 * (45**2 - 40**2) + 45 * (12**2 - 10**2) < 45 * 12**2
+    assert nearest(45, 12) == (lower, 40)
+    assert nearest(45, 9) == (None, 45)  # nothing held at depth 9 or less
+    same = qbinom(56, 11)  # diagonal 45, depth 11: 45 (12^2 - 11^2)
+    assert nearest(45, 12) == (same, 45)
+    far = qbinom(2, 1)  # diagonal 1, depth 1
+    assert nearest(45, 12) == (same, 45)
+    del shallow, lower, same, far
+
+
+def test_nearest_start_looks_at_no_more_than_k_plus_one_diagonals(monkeypatch):
+    # whatever the index holds: 1 <= j <= min(a, 6) on every diagonal a < 120
+    qbinom_module = sys.modules["qneg.qbinom"]
+    qbinom.cache_clear()
+    held = [qbinom(a + j, j) for a in range(1, 120) for j in range(1, min(a, 6) + 1)]
+    looked = []
+
+    class Counting(dict):
+        def get(self, a, default=None):
+            looked.append(a)
+            return super().get(a, default)
+
+    monkeypatch.setattr(qbinom_module, "_DEPTHS", Counting(qbinom_module._DEPTHS))
+    for m, k in [(100, 5), (119, 1), (60, 30), (200, 40), (119, 119)]:
+        looked.clear()
+        qbinom_module._nearest_start(m, k)
+        assert 0 < len(looked) <= k + 1, (m, k)
+    monkeypatch.undo()  # no value died meanwhile, so the index is as it was
+    del held
+    qbinom.cache_clear()
+
+
+def test_index_holds_no_value_and_no_depth_after_cache_clear():
+    qbinom_module = sys.modules["qneg.qbinom"]
+    qbinom.cache_clear()
+    for n in range(-30, 31):
+        for k in range(-30, 31):
+            qbinom(n, k)
+    depths = qbinom_module._DEPTHS
+    held = {(a, j) for a, js in depths.items() for j in js}
+    assert held == set(qbinom_module._DIAGONALS) and held
+    assert all(js == sorted(set(js)) for js in depths.values())
+    qbinom.cache_clear()
+    assert depths == {} and qbinom_module._DIAGONALS == {}
+
+
+def test_index_stays_consistent_under_concurrent_fill_and_clear():
+    # six threads on two cores fill overlapping boxes while one clears the
+    # cache, with thread switches forced often; every value stays exact and
+    # the depths on each diagonal stay those of the held values
+    import threading
+
+    qbinom_module = sys.modules["qneg.qbinom"]
+    qbinom.cache_clear()
+    box = [(n, k) for n in range(-20, 21) for k in range(-20, 21)]
+    expected = {pair: qbinom(*pair) for pair in box}
+    qbinom.cache_clear()
+    wrong = []
+
+    def fill(seed):
+        order = box[:]
+        random.Random(seed).shuffle(order)
+        wrong.extend(pair for pair in order if qbinom(*pair) != expected[pair])
+
+    def clear():
+        for _ in range(20):
+            qbinom.cache_clear()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(seed,)) for seed in range(5)]
+        threads.append(threading.Thread(target=clear))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    depths = qbinom_module._DEPTHS
+    assert {(a, j) for a, js in depths.items() for j in js} == set(qbinom_module._DIAGONALS)
+    assert all(js == sorted(set(js)) for js in depths.values())
+    del expected  # the index holds these too, as long as they live
+    qbinom.cache_clear()
+    assert depths == {} and qbinom_module._DIAGONALS == {}
+
+
+def test_index_keeps_no_value_that_is_dropped():
+    qbinom_module = sys.modules["qneg.qbinom"]
+    qbinom.cache_clear()
+    value = LaurentPoly(0, classical_coeffs_half(13, 5))
+    qbinom_module._remember(8, 5, value)
+    assert qbinom_module._nearest_start(8, 5) == (value, 8)
+    del value
+    assert qbinom_module._DEPTHS == {} and qbinom_module._DIAGONALS == {}
+    assert qbinom_module._nearest_start(8, 5) == (None, 8)
+
+
 # -- integer specialization -----------------------------------------------------
 
 

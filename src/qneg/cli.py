@@ -162,7 +162,6 @@ def _suite_subsets(ns) -> Iterator[Case]:
 
 
 def _suite_chu(ns) -> Iterator[Case]:
-    from .qbinom import degree_profile
     from .qseries import verify_chu_vandermonde
 
     nspan, mspan, kspan = _span(ns.n, -5, 5), _span(ns.m, -5, 5), _span(ns.k, -6, 6)
@@ -180,10 +179,7 @@ def _suite_chu(ns) -> Iterator[Case]:
             yield from ((n, m, k) for n in negative_n for m in negative_m for k in ks)
 
     # the sum has up to |k| + 1 terms, each counted at the size of [n + m, k]
-    sizes = (
-        (abs(k) + 1) * _value_size(n + m, k, False, degree_profile(n + m, k))
-        for n, m, k in triples()
-    )
+    sizes = ((abs(k) + 1) * _value_size(n + m, k, False) for n, m, k in triples())
     _check_total(sizes, "coefficients")
     for n, m, k in triples():
         yield f"chu n={n} m={m} k={k}", verify_chu_vandermonde(n, m, k)
@@ -244,11 +240,8 @@ def _suite_qlucas(ns) -> Iterator[Case]:
     from .congruence import verify_q_lucas
 
     moduli = _span(ns.m, 2, 9)
-    if moduli and moduli[-1] > MAX_COEFFICIENTS:
-        raise ValueError(
-            f"modulus {moduli[-1]:,} is too large (Phi_m has up to m coefficients; "
-            f"the limit is {MAX_COEFFICIENTS:,})"
-        )
+    # each modulus builds Phi_m, which has at most m coefficients
+    _check_total(moduli, "coefficients")
     box = list(_box(ns, 15))
     for m in moduli:
         for n, k in box:
@@ -324,10 +317,13 @@ def _emit(ns, lines: Callable[[], Iterable[str]], body: Callable[[], dict]) -> N
             print(line)
 
 
-def _value_size(n: int, k: int, q1: bool, profile: tuple[int, int] | None) -> int:
+def _value_size(n: int, k: int, q1: bool) -> int:
     """The coefficients of qbinom(n, k), from its degree_profile, or with q1
     an upper bound on the decimal digits of binom(n, k); a zero counts as
     one."""
+    from .qbinom import degree_profile
+
+    profile = degree_profile(n, k)
     if profile is None:
         return 1
     if not q1:
@@ -344,11 +340,7 @@ def _check_size(n_values: range, k_values: range, q1: bool, copies: int = 1) -> 
     """Refuse, as a usage error, a grid whose values, each held `copies`
     times, hold more than MAX_COEFFICIENTS coefficients, or with q1 digits,
     in all."""
-    from .qbinom import degree_profile
-
-    sizes = (
-        copies * _value_size(n, k, q1, degree_profile(n, k)) for n in n_values for k in k_values
-    )
+    sizes = (copies * _value_size(n, k, q1) for n in n_values for k in k_values)
     # each value counts one or more, so a grid of more cells than the limit
     # needs no count
     cells = copies * len(n_values) * len(k_values)

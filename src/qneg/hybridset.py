@@ -13,8 +13,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 
 from . import _public
-from .laurent import LaurentPoly, ZERO
-from .qbinom import Region, region
+from .laurent import LaurentPoly
 
 __all__ = _public(__name__)
 
@@ -155,15 +154,9 @@ def qbinom_via_subsets(n: int, k: int) -> LaurentPoly:
     >>> qbinom_via_subsets(-3, -4)
     LaurentPoly('-q^-3 - q^-2 - q^-1')
     """
-    reg = region(n, k)
-    if reg is Region.VANISHING:
-        return ZERO
-    if reg is Region.CLASSICAL:
-        eps = 1
-    elif reg is Region.NEGATIVE_N:
-        eps = -1 if k % 2 else 1
-    else:
-        eps = -1 if (n - k) % 2 else 1
+    # the regions told apart by sign tests alone, as in _sigmas; on the
+    # vanishing region _sigmas yields nothing and the sum is zero
+    eps = -1 if n < 0 and (k if k >= 0 else n - k) % 2 else 1
     offset = -(k * (k - 1) // 2)
     counts = Counter(_sigmas(n, k))
     return LaurentPoly.from_terms({s + offset: eps * c for s, c in counts.items()})

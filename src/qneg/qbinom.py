@@ -207,7 +207,8 @@ def qbinom(n: int, k: int) -> LaurentPoly:
     if reg is Region.VANISHING:
         return ZERO
     if reg is Region.CLASSICAL:
-        k = min(k, n - k)
+        if k > n - k:  # [n, k] = [n, n - k], held once
+            return qbinom(n, n - k)
         start, diagonal = _nearest_start(n - k, k)
         value = LaurentPoly(0, _classical_coeffs(n, k, start, diagonal))
         if k:
@@ -221,7 +222,7 @@ def qbinom(n: int, k: int) -> LaurentPoly:
         top, j = -k - 1, -n - 1
     if doubled % 2:
         raise InvariantError(f"odd q-shift exponent at ({n}, {k})")
-    return (qbinom(top, j) * sign).shift(doubled // 2)
+    return (qbinom(top, min(j, top - j)) * sign).shift(doubled // 2)
 
 
 def binom(n: int, k: int) -> int:

@@ -12,7 +12,7 @@ import pytest
 import qneg.cli as cli
 from qneg.apery import apery
 from qneg.laurent import LaurentPoly
-from qneg.qbinom import binom, degree_profile, qbinom
+from qneg.qbinom import binom, qbinom
 
 
 def run_cli(capsys, *argv):
@@ -166,7 +166,7 @@ def test_verify_qlucas_modulus_limit(capsys, monkeypatch):
     assert (code, out) == (0, "checked 1, passed 1\n")
     code, out, err = run_cli(capsys, "verify", "qlucas", "--m", "2..10", "--n", "0", "--k", "0")
     assert (code, out) == (2, "")
-    assert err == "error: modulus 10 is too large (Phi_m has up to m coefficients; the limit is 9)\n"
+    assert err == "error: the result is too large (14 coefficients by estimate; the limit is 9)\n"
 
 
 @pytest.mark.parametrize(
@@ -253,13 +253,15 @@ def test_series_size_limit_counts_every_window(capsys, monkeypatch, argv, size):
         ["verify", "symmetry", "--n", "3000", "--k", "1500"],
         ["verify", "subsets", "--n", "34", "--k", "17"],
         ["verify", "chu", "--n", "600", "--m", "600", "--k", "300"],
+        ["verify", "qlucas", "--m", "2..100000", "--n", "0", "--k", "0"],
     ],
-    ids=["qlucas", "box", "subsets", "chu"],
+    ids=["qlucas", "box", "subsets", "chu", "qlucas-moduli"],
 )
 def test_sweeps_refuse_a_huge_box_at_once(argv):
-    # each ran for more than 20 s without its guard: qbinom(4000, 2000) has
+    # each ran for more than 10 s without its guard: qbinom(4000, 2000) has
     # 4,000,001 coefficients, (34, 17) only 290 but 2,333,606,220 subsets,
-    # and chu sums 301 products as large as [1200, 300]
+    # chu sums 301 products as large as [1200, 300], and the moduli
+    # 2..100000 build Phi_m of about 5e9 coefficients in all
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     proc = subprocess.run(
         [sys.executable, "-m", "qneg", *argv],
@@ -429,7 +431,7 @@ def test_size_limit_sums_the_cells_of_a_table(capsys, monkeypatch):
 def test_q1_size_bound_covers_every_value():
     for n in range(-40, 41):
         for k in range(-40, 41):
-            size = cli._value_size(n, k, True, degree_profile(n, k))
+            size = cli._value_size(n, k, True)
             assert size >= len(str(abs(binom(n, k))))
 
 

@@ -1,6 +1,7 @@
 """Internal consistency checks survive `python -O`."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import qneg
@@ -19,3 +20,34 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"assert statements in {path.name} at lines {lines}"
+
+
+def _names(code):
+    """The global and attribute names a code object and its nested ones use."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names(const)
+    return names
+
+
+def test_evaluation_routes_share_no_code_path():
+    # the closed forms, the q-Pascal recursion and the subset enumeration
+    # cross-check one another only while none of them reads another's
+    # region test or values
+    closed_forms = importlib.import_module("qneg.qbinom")
+    tree = ast.parse(Path(qneg.__file__).with_name("hybridset.py").read_text())
+    imported = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+        if "qbinom" in name
+    ]
+    assert imported == []
+    pascal = [closed_forms.qbinom_pascal.__wrapped__]
+    pascal += [f for name, f in vars(closed_forms).items() if name.startswith("_pascal_")]
+    assert len(pascal) == 3
+    for function in pascal:
+        shared = _names(function.__code__) & {"region", "qbinom", "binom", "_classical_coeffs"}
+        assert not shared, (function.__name__, shared)

@@ -359,18 +359,38 @@ def cold(n, k):
 
 
 def test_warm_diagonal_index_gives_the_cold_values():
+    # each cold value is computed from an empty cache and an empty index;
+    # only its coefficients are kept, so no later cold value can resume
+    depths = sys.modules["qneg.qbinom"]._DEPTHS
     box = [(n, k) for n in range(-24, 25) for k in range(-24, 25)]
-    expected = {pair: cold(*pair) for pair in box}
+    expected = {}
+    for pair in box:
+        qbinom.cache_clear()
+        assert depths == {}
+        value = qbinom(*pair)
+        expected[pair] = (value.val, value.coeffs)
+        del value
+
+    def coefficients(values):
+        return {pair: (v.val, v.coeffs) for pair, v in values.items()}
+
     qbinom.cache_clear()
     ascending = {pair: qbinom(*pair) for pair in box}
-    assert ascending == expected
+    assert coefficients(ascending) == expected
     # the ascending values are still held here, so after the cache is
     # cleared every classical value resumes from its own diagonal entry
     qbinom.cache_clear()
-    assert {pair: qbinom(*pair) for pair in reversed(box)} == expected
+    assert coefficients({pair: qbinom(*pair) for pair in reversed(box)}) == expected
     del ascending
     qbinom.cache_clear()
-    assert {pair: qbinom(*pair) for pair in reversed(box)} == expected
+    assert coefficients({pair: qbinom(*pair) for pair in reversed(box)}) == expected
+
+
+def test_a_classical_value_and_its_mirror_are_one_object():
+    # [n, k] = [n, n - k] is computed and held once, on the side k <= n - k
+    for n in range(41):
+        for k in range(n + 1):
+            assert qbinom(n, n - k) is qbinom(n, k)
 
 
 def test_negative_regions_resume_on_a_shared_diagonal():

@@ -162,6 +162,7 @@ def _suite_subsets(ns) -> Iterator[Case]:
 
 
 def _suite_chu(ns) -> Iterator[Case]:
+    from .qbinom import degree_profile
     from .qseries import verify_chu_vandermonde
 
     nspan, mspan, kspan = _span(ns.n, -5, 5), _span(ns.m, -5, 5), _span(ns.k, -6, 6)
@@ -179,42 +180,48 @@ def _suite_chu(ns) -> Iterator[Case]:
             yield from ((n, m, k) for n in negative_n for m in negative_m for k in ks)
 
     # the sum has up to |k| + 1 terms, each counted at the size of [n + m, k]
-    sizes = ((abs(k) + 1) * _value_size(n + m, k, False) for n, m, k in triples())
+    sizes = ((abs(k) + 1) * _value_size(n + m, k, False, degree_profile) for n, m, k in triples())
     _check_total(sizes, "coefficients")
     for n, m, k in triples():
         yield f"chu n={n} m={m} k={k}", verify_chu_vandermonde(n, m, k)
 
 
+def _series(n: int, mode: str, trunc: int) -> list[tuple]:
+    """The (k, coefficient) pairs of the window that `expand --mode` prints,
+    in print order: k = 0, 1, ..., or k = n, n - 1, ... from infinity."""
+    from .qseries import Direction, pochhammer_expansion, power_xy
+
+    if mode == "pochhammer":
+        series = pochhammer_expansion(n, trunc)
+    else:
+        series = power_xy(n, Direction(mode.removeprefix("noncommutative-")), trunc)
+    ks = range(n, n - trunc, -1) if mode.endswith("infinity") else range(trunc)
+    return [(k, series.coefficient(k)) for k in ks]
+
+
 def _suite_qbt(ns) -> Iterator[Case]:
     # Commutative q-binomial theorem for the shifted factorial.
     from .qbinom import qbinom
-    from .qseries import pochhammer_expansion
 
     n_values = _span(ns.n, -5, 5)
     _check_size(n_values, range(ns.trunc), False)
     for n in n_values:
-        series = pochhammer_expansion(n, ns.trunc)
-        for k in range(ns.trunc):
-            expect = qbinom(n, k).shift(k * (k - 1) // 2)
-            yield f"qbt n={n} k={k}", series.coefficient(k) == expect
+        for k, c in _series(n, "pochhammer", ns.trunc):
+            yield f"qbt n={n} k={k}", c == qbinom(n, k).shift(k * (k - 1) // 2)
 
 
 def _suite_ncqbt(ns) -> Iterator[Case]:
     # Noncommutative binomial theorem, both expansion directions.
     from .qbinom import qbinom
-    from .qseries import Direction, power_xy
 
     n_values = _span(ns.n, -6, 6)
     # qbinom(n, k) = qbinom(n, n - k): the window from infinity holds the
     # values of the window from zero
     _check_size(n_values, range(ns.trunc), False, copies=2)
     for n in n_values:
-        from_zero = power_xy(n, Direction.FROM_ZERO, ns.trunc)
-        for k in range(ns.trunc):
-            yield f"ncqbt zero n={n} k={k}", from_zero.coefficient(k) == qbinom(n, k)
-        from_inf = power_xy(n, Direction.FROM_INFINITY, ns.trunc)
-        for k in range(n, n - ns.trunc, -1):
-            yield f"ncqbt inf n={n} k={k}", from_inf.coefficient(k) == qbinom(n, k)
+        for side, mode in (("zero", "noncommutative-from-zero"), ("inf", "noncommutative-from-infinity")):
+            for k, c in _series(n, mode, ns.trunc):
+                yield f"ncqbt {side} n={n} k={k}", c == qbinom(n, k)
 
 
 def _suite_lucas(ns) -> Iterator[Case]:
@@ -317,12 +324,13 @@ def _emit(ns, lines: Callable[[], Iterable[str]], body: Callable[[], dict]) -> N
             print(line)
 
 
-def _value_size(n: int, k: int, q1: bool) -> int:
+def _value_size(n: int, k: int, q1: bool, degree_profile=None) -> int:
     """The coefficients of qbinom(n, k), from its degree_profile, or with q1
     an upper bound on the decimal digits of binom(n, k); a zero counts as
-    one."""
-    from .qbinom import degree_profile
-
+    one.  A guard over many values passes qbinom's degree_profile, bound
+    once, since importing it costs more than sizing a small value."""
+    if degree_profile is None:
+        from .qbinom import degree_profile
     profile = degree_profile(n, k)
     if profile is None:
         return 1
@@ -340,7 +348,9 @@ def _check_size(n_values: range, k_values: range, q1: bool, copies: int = 1) -> 
     """Refuse, as a usage error, a grid whose values, each held `copies`
     times, hold more than MAX_COEFFICIENTS coefficients, or with q1 digits,
     in all."""
-    sizes = (copies * _value_size(n, k, q1) for n in n_values for k in k_values)
+    from .qbinom import degree_profile
+
+    sizes = (copies * _value_size(n, k, q1, degree_profile) for n in n_values for k in k_values)
     # each value counts one or more, so a grid of more cells than the limit
     # needs no count
     cells = copies * len(n_values) * len(k_values)
@@ -458,17 +468,10 @@ def _cmd_table(ns) -> int:
 
 
 def _cmd_expand(ns) -> int:
-    from .qseries import Direction, pochhammer_expansion, power_xy
-
-    from_infinity = ns.mode == "noncommutative-from-infinity"
-    ks = range(ns.n, ns.n - ns.trunc, -1) if from_infinity else range(ns.trunc)
-    _check_size(range(ns.n, ns.n + 1), ks, False)
-    if ns.mode == "pochhammer":
-        series = pochhammer_expansion(ns.n, ns.trunc)
-    else:
-        direction = Direction.FROM_INFINITY if from_infinity else Direction.FROM_ZERO
-        series = power_xy(ns.n, direction, ns.trunc)
-    terms = [(k, series.coefficient(k)) for k in ks]
+    # qbinom(n, k) = qbinom(n, n - k), so every mode's window holds the
+    # values [n, 0], [n, 1], ..., in that order
+    _check_size(range(ns.n, ns.n + 1), range(ns.trunc), False)
+    terms = _series(ns.n, ns.mode, ns.trunc)
     _emit(
         ns,
         lambda: (f"C({k}) = {c}" for k, c in terms),

@@ -59,26 +59,17 @@ class NormalSeries(
             )
         return self.terms.get(k, ZERO)
 
-    def _is_exact(self) -> bool:
-        # A nonnegative power whose window covers its full support is a
-        # complete polynomial: its coefficients are known for every k.
-        return self.n >= 0 and self.truncation >= self.n + 1
-
 
 def series_mul(a: NormalSeries, b: NormalSeries) -> NormalSeries:
     """Product of two expansions of the same direction, normal-ordered via
-    y^s x^t = q^(st) x^t y^s and truncated to the common reliable window."""
+    y^s x^t = q^(st) x^t y^s and truncated to the common reliable window:
+    the least truncation of a factor that is not exact, or the whole
+    support when both are.  A nonnegative power whose window covers its
+    support, k <= n, is exact: its coefficients are known for every k."""
     if a.direction is not b.direction:
         raise ValueError("cannot multiply expansions of different directions")
-    exact_a, exact_b = a._is_exact(), b._is_exact()
-    if exact_a and exact_b:
-        truncation = a.n + b.n + 1
-    elif exact_a:
-        truncation = b.truncation
-    elif exact_b:
-        truncation = a.truncation
-    else:
-        truncation = min(a.truncation, b.truncation)
+    inexact = (s.truncation for s in (a, b) if s.n < 0 or s.truncation <= s.n)
+    truncation = min(inexact, default=a.n + b.n + 1)
     n = a.n + b.n
     out: dict[int, LaurentPoly] = {}
     for k, ak in a.terms.items():

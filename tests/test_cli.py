@@ -522,6 +522,28 @@ def test_expand_json(capsys):
         assert LaurentPoly.from_json_dict(term["value"]) == expect
 
 
+@pytest.mark.parametrize("mode", cli.EXPAND_MODES)
+def test_expand_window_is_the_closed_forms(capsys, mode):
+    # the keys k = 0, 1, ..., or n, n - 1, ... from infinity, in that order,
+    # and each value from qbinom, independently of the window verify reads
+    for n in range(-6, 7):
+        for trunc in (1, 2, 7):
+            code, out, _ = run_cli(
+                capsys, "expand", "--n", str(n), "--mode", mode, "--trunc", str(trunc),
+                "--format", "json",
+            )
+            assert code == 0
+            terms = json.loads(out)["terms"]
+            from_infinity = mode == "noncommutative-from-infinity"
+            keys = range(n, n - trunc, -1) if from_infinity else range(trunc)
+            assert [term["k"] for term in terms] == list(keys), (n, trunc)
+            for k, term in zip(keys, terms):
+                expect = qbinom(n, k)
+                if mode == "pochhammer":
+                    expect = expect.shift(k * (k - 1) // 2)
+                assert LaurentPoly.from_json_dict(term["value"]) == expect, (n, trunc, k)
+
+
 def test_expand_invalid_mode_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["expand", "--n", "2", "--mode", "sideways"])
@@ -713,6 +735,18 @@ def test_verify_json_schema(capsys):
     assert body["failures"] == []
 
 
+SMALL_RANGE_COUNTS = {
+    **dict.fromkeys(["symmetry", "reflection", "qinv", "degrees", "subsets"], 81),
+    "chu": 223,
+    "qbt": 42,
+    "ncqbt": 84,
+    "lucas": 289,
+    "qlucas": 121,
+    "freshman": 7,
+    "apery": 12,
+}
+
+
 @pytest.mark.parametrize(
     "suite,flags",
     [
@@ -731,10 +765,9 @@ def test_verify_json_schema(capsys):
     ],
 )
 def test_every_suite_passes_on_small_ranges(capsys, suite, flags):
-    code, out, _ = run_cli(capsys, "verify", suite, *flags)
-    assert code == 0
-    checked, passed = out.split(",")[0], out.split(",")[1]
-    assert checked.split()[1] == passed.strip().split()[1]
+    # a sweep that checks nothing must not pass: each checks its exact count
+    count = SMALL_RANGE_COUNTS[suite]
+    assert run_cli(capsys, "verify", suite, *flags) == (0, f"checked {count}, passed {count}\n", "")
 
 
 @pytest.mark.parametrize("suite", ["qbt", "ncqbt", "freshman"])

@@ -73,6 +73,41 @@ def test_multiplicativity_on_common_window():
                     assert product.coefficient(k) == direct.coefficient(k), (a, b, k)
 
 
+def four_way_truncation(a: NormalSeries, b: NormalSeries) -> int:
+    # The truncation rule series_mul used before it took the least
+    # truncation of its inexact factors, kept as the reference, with the
+    # former NormalSeries._is_exact inlined.
+    def is_exact(s):
+        return s.n >= 0 and s.truncation >= s.n + 1
+
+    exact_a, exact_b = is_exact(a), is_exact(b)
+    if exact_a and exact_b:
+        truncation = a.n + b.n + 1
+    elif exact_a:
+        truncation = b.truncation
+    elif exact_b:
+        truncation = a.truncation
+    else:
+        truncation = min(a.truncation, b.truncation)
+    return truncation
+
+
+@pytest.mark.parametrize("direction", [FZ, FI])
+def test_product_window_is_the_four_way_rule(direction):
+    # every pair of n in -3..3 and truncations 1..6: exact x exact, exact x
+    # inexact in both orders, inexact x inexact; on the window the rule
+    # gives, the product is (x+y)^(n1+n2)
+    factors = [power_xy(n, direction, t) for n in range(-3, 4) for t in range(1, 7)]
+    for a in factors:
+        for b in factors:
+            truncation = four_way_truncation(a, b)
+            direct = power_xy(a.n + b.n, direction, truncation)
+            product = series_mul(a, b)
+            assert product.truncation == truncation, (a.n, a.truncation, b.n, b.truncation)
+            assert product.window() == direct.window()
+            assert product.terms == {k: v for k, v in direct.terms.items() if not v.is_zero()}
+
+
 # -- the expansions of (x+y)^n ---------------------------------------------------
 
 

@@ -15,6 +15,8 @@ process loads only those.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import os
 import sys
 from collections import namedtuple
@@ -162,7 +164,6 @@ def _suite_subsets(ns) -> Iterator[Case]:
 
 
 def _suite_chu(ns) -> Iterator[Case]:
-    from .qbinom import degree_profile
     from .qseries import verify_chu_vandermonde
 
     nspan, mspan, kspan = _span(ns.n, -5, 5), _span(ns.m, -5, 5), _span(ns.k, -6, 6)
@@ -180,7 +181,7 @@ def _suite_chu(ns) -> Iterator[Case]:
             yield from ((n, m, k) for n in negative_n for m in negative_m for k in ks)
 
     # the sum has up to |k| + 1 terms, each counted at the size of [n + m, k]
-    sizes = ((abs(k) + 1) * _value_size(n + m, k, False, degree_profile) for n, m, k in triples())
+    sizes = ((abs(k) + 1) * _value_size(n + m, k, False) for n, m, k in triples())
     _check_total(sizes, "coefficients")
     for n, m, k in triples():
         yield f"chu n={n} m={m} k={k}", verify_chu_vandermonde(n, m, k)
@@ -191,11 +192,13 @@ def _series(n: int, mode: str, trunc: int) -> list[tuple]:
     in print order: k = 0, 1, ..., or k = n, n - 1, ... from infinity."""
     from .qseries import Direction, pochhammer_expansion, power_xy
 
+    direction = Direction.FROM_ZERO
     if mode == "pochhammer":
         series = pochhammer_expansion(n, trunc)
     else:
-        series = power_xy(n, Direction(mode.removeprefix("noncommutative-")), trunc)
-    ks = range(n, n - trunc, -1) if mode.endswith("infinity") else range(trunc)
+        direction = Direction(mode.removeprefix("noncommutative-"))
+        series = power_xy(n, direction, trunc)
+    ks = range(n, n - trunc, -1) if direction is Direction.FROM_INFINITY else range(trunc)
     return [(k, series.coefficient(k)) for k in ks]
 
 
@@ -219,7 +222,7 @@ def _suite_ncqbt(ns) -> Iterator[Case]:
     # values of the window from zero
     _check_size(n_values, range(ns.trunc), False, copies=2)
     for n in n_values:
-        for side, mode in (("zero", "noncommutative-from-zero"), ("inf", "noncommutative-from-infinity")):
+        for side, mode in zip(("zero", "inf"), EXPAND_MODES):
             for k, c in _series(n, mode, ns.trunc):
                 yield f"ncqbt {side} n={n} k={k}", c == qbinom(n, k)
 
@@ -324,14 +327,18 @@ def _emit(ns, lines: Callable[[], Iterable[str]], body: Callable[[], dict]) -> N
             print(line)
 
 
-def _value_size(n: int, k: int, q1: bool, degree_profile=None) -> int:
+@functools.cache
+def _qbinom_module():
+    # imported once: a guard sizes thousands of small values, and importing
+    # degree_profile for each costs more than the sizing
+    return importlib.import_module(".qbinom", __package__)
+
+
+def _value_size(n: int, k: int, q1: bool) -> int:
     """The coefficients of qbinom(n, k), from its degree_profile, or with q1
     an upper bound on the decimal digits of binom(n, k); a zero counts as
-    one.  A guard over many values passes qbinom's degree_profile, bound
-    once, since importing it costs more than sizing a small value."""
-    if degree_profile is None:
-        from .qbinom import degree_profile
-    profile = degree_profile(n, k)
+    one."""
+    profile = _qbinom_module().degree_profile(n, k)
     if profile is None:
         return 1
     if not q1:
@@ -348,9 +355,7 @@ def _check_size(n_values: range, k_values: range, q1: bool, copies: int = 1) -> 
     """Refuse, as a usage error, a grid whose values, each held `copies`
     times, hold more than MAX_COEFFICIENTS coefficients, or with q1 digits,
     in all."""
-    from .qbinom import degree_profile
-
-    sizes = (copies * _value_size(n, k, q1, degree_profile) for n in n_values for k in k_values)
+    sizes = (copies * _value_size(n, k, q1) for n in n_values for k in k_values)
     # each value counts one or more, so a grid of more cells than the limit
     # needs no count
     cells = copies * len(n_values) * len(k_values)

@@ -511,37 +511,27 @@ def test_expand_from_infinity_descends(capsys):
 
 
 def test_expand_json(capsys):
-    code, out, _ = run_cli(
-        capsys, "expand", "--n", "-3", "--mode", "pochhammer", "--trunc", "3",
-        "--format", "json",
-    )
-    body = json.loads(out)
-    assert body["schema"] == "qneg/1"
-    for term in body["terms"]:
-        expect = qbinom(-3, term["k"]).shift(term["k"] * (term["k"] - 1) // 2)
-        assert LaurentPoly.from_json_dict(term["value"]) == expect
-
-
-@pytest.mark.parametrize("mode", cli.EXPAND_MODES)
-def test_expand_window_is_the_closed_forms(capsys, mode):
-    # the keys k = 0, 1, ..., or n, n - 1, ... from infinity, in that order,
-    # and each value from qbinom, independently of the window verify reads
-    for n in range(-6, 7):
-        for trunc in (1, 2, 7):
-            code, out, _ = run_cli(
-                capsys, "expand", "--n", str(n), "--mode", mode, "--trunc", str(trunc),
-                "--format", "json",
-            )
-            assert code == 0
-            terms = json.loads(out)["terms"]
-            from_infinity = mode == "noncommutative-from-infinity"
-            keys = range(n, n - trunc, -1) if from_infinity else range(trunc)
-            assert [term["k"] for term in terms] == list(keys), (n, trunc)
-            for k, term in zip(keys, terms):
-                expect = qbinom(n, k)
-                if mode == "pochhammer":
-                    expect = expect.shift(k * (k - 1) // 2)
-                assert LaurentPoly.from_json_dict(term["value"]) == expect, (n, trunc, k)
+    # each mode's keys are k = 0, 1, ..., or n, n - 1, ... from infinity, in
+    # that order, and each value is the closed form from qbinom, checked
+    # independently of the window that verify reads
+    for mode in cli.EXPAND_MODES:
+        for n in range(-6, 7):
+            for trunc in (1, 2, 7):
+                code, out, _ = run_cli(
+                    capsys, "expand", "--n", str(n), "--mode", mode, "--trunc", str(trunc),
+                    "--format", "json",
+                )
+                assert code == 0
+                body = json.loads(out)
+                assert body["schema"] == "qneg/1"
+                from_infinity = mode == "noncommutative-from-infinity"
+                keys = range(n, n - trunc, -1) if from_infinity else range(trunc)
+                assert [term["k"] for term in body["terms"]] == list(keys), (mode, n, trunc)
+                for k, term in zip(keys, body["terms"]):
+                    expect = qbinom(n, k)
+                    if mode == "pochhammer":
+                        expect = expect.shift(k * (k - 1) // 2)
+                    assert LaurentPoly.from_json_dict(term["value"]) == expect, (mode, n, trunc)
 
 
 def test_expand_invalid_mode_is_usage_error(capsys):
@@ -768,6 +758,19 @@ def test_every_suite_passes_on_small_ranges(capsys, suite, flags):
     # a sweep that checks nothing must not pass: each checks its exact count
     count = SMALL_RANGE_COUNTS[suite]
     assert run_cli(capsys, "verify", suite, *flags) == (0, f"checked {count}, passed {count}\n", "")
+
+
+def test_series_suites_keep_their_case_labels():
+    # a failure names its case: for each n, the window from zero, then the
+    # window from infinity, each labelled with its own direction
+    ns = argparse.Namespace(n=(-1, 0), trunc=2)
+    assert [case for case, _ in cli.SUITES["qbt"](ns)] == [
+        "qbt n=-1 k=0", "qbt n=-1 k=1", "qbt n=0 k=0", "qbt n=0 k=1",
+    ]
+    assert [case for case, _ in cli.SUITES["ncqbt"](ns)] == [
+        "ncqbt zero n=-1 k=0", "ncqbt zero n=-1 k=1", "ncqbt inf n=-1 k=-1", "ncqbt inf n=-1 k=-2",
+        "ncqbt zero n=0 k=0", "ncqbt zero n=0 k=1", "ncqbt inf n=0 k=0", "ncqbt inf n=0 k=-1",
+    ]
 
 
 @pytest.mark.parametrize("suite", ["qbt", "ncqbt", "freshman"])

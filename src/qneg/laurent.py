@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import sys
 from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import accumulate, repeat
@@ -310,9 +311,18 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     the product holds one coefficient.  Adding 2**(w-1) to every slot makes
     all slots nonnegative, so no slot borrows from its neighbour, and the
     slots are then read back from the bytes of one integer.
+
+    A slot of at most 8 bytes is widened to 1, 2, 4 or 8, a machine word,
+    and then both directions run in C: XOR with 2**(w-1) in every slot turns
+    a biased slot into its two's complement and back, and `array` reads and
+    writes two's-complement words.
     """
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1  # bytes per slot: 8 * width > bit_length
+    words = None
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+        words = _word_array(width)
     half = 1 << (8 * width - 1)
     half_bytes = half.to_bytes(width, "little")
 
@@ -320,16 +330,41 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         return int.from_bytes(half_bytes * slots, "little")
 
     def pack(coeffs: Sequence[int]) -> int:
-        biased = map(operator.add, coeffs, repeat(half))
-        packed = b"".join(map(int.to_bytes, biased, repeat(width), repeat("little")))
-        return int.from_bytes(packed, "little") - halves(len(coeffs))
+        if words:
+            packed = words(coeffs)
+            if sys.byteorder == "big":
+                packed.byteswap()
+            biased = int.from_bytes(packed.tobytes(), "little") ^ halves(len(coeffs))
+        else:
+            shifted = map(operator.add, coeffs, repeat(half))
+            packed = b"".join(map(int.to_bytes, shifted, repeat(width), repeat("little")))
+            biased = int.from_bytes(packed, "little")
+        return biased - halves(len(coeffs))
 
     size = len(a) + len(b) - 1
-    raw = (pack(a) * pack(b) + halves(size)).to_bytes(width * size, "little")
+    slots = halves(size)
+    biased = pack(a) * pack(b) + slots
+    if words:
+        out = words((biased ^ slots).to_bytes(width * size, "little"))
+        if sys.byteorder == "big":
+            out.byteswap()
+        return out.tolist()
+    raw = biased.to_bytes(width * size, "little")
     return [
         int.from_bytes(raw[i : i + width], "little") - half
         for i in range(0, width * size, width)
     ]
+
+
+@functools.cache
+def _word_array(width: int) -> functools.partial | None:
+    """The constructor of `array`s of signed machine words of `width` bytes,
+    or None.  The first product that needs it imports `array`; no command
+    needs the module at start-up."""
+    from array import array
+
+    codes = [code for code in "bhilq" if array(code).itemsize == width]
+    return functools.partial(array, codes[0]) if codes else None
 
 
 def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:

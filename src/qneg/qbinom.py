@@ -20,6 +20,7 @@ import math
 import operator
 import threading
 import weakref
+from itertools import repeat
 
 from . import _public
 from .laurent import ONE, ZERO, InvariantError, LaurentPoly, _divide_by_one_minus_q_power
@@ -54,83 +55,104 @@ def _classical_coeffs(
 ) -> list[int]:
     """Ascending coefficients of the classical Gaussian polynomial, 0 <= k <= n.
 
-    Built as the product over i = 1..k of (1 - q^(n-k+i)) / (1 - q^i) with the
-    division performed incrementally: every partial quotient is itself a
-    Gaussian polynomial [n-k+i, i] of degree d = i(n-k).  Both steps are
-    whole-list operations that run in C, with no Python loop per coefficient.
+    With k <= n - k and m = n - k, [n, k] = [m+k, k] is walked to from
+    [m, 0] = 1 one step at a time.  A step moves one coordinate of [x+y, y]
+    by one, the other held, and multiplies by (1 - q^u) and divides by
+    (1 - q^s):
 
-    Every partial quotient is palindromic, [N, i](q) = q^d [N, i](1/q), so
-    each step computes its quotient only up to the middle degree d // 2 and
-    i coefficients more, one per residue class mod i; the coefficients past
-    those that the next step reads are mirrored, which copies references and
-    makes no new ints.  Multiplying by 1 - q^top and dividing by 1 - q^i (a
-    running sum) read only lower coefficients, so a step cut short is exact
-    as far as it goes.  The running sums then add about k^2 (n-k) / 4
-    coefficients in all, against k^2 (n-k) / 2 at whole length and
-    3 k^2 (n-k) / 8 when only the final result is halved.
+        x or y up to c:        (u, s) = (x + y + 1, c)
+        x or y down from c:    (u, s) = (c, x + y)
+
+    Each quotient is a Gaussian polynomial again, of degree d = x*y.  Both
+    operations are whole-list ones that run in C, with no Python loop per
+    coefficient: the multiply is one slice subtraction, the division is s
+    stride-s running sums.
+
+    Every quotient is palindromic, [x+y, y](q) = q^d [x+y, y](1/q), so each
+    step computes it only up to the middle degree d // 2 and s coefficients
+    more, one per residue class mod s; the coefficients past those that the
+    next step reads are mirrored, which copies references and makes no new
+    ints.  Multiplying by 1 - q^u and dividing by 1 - q^s read only lower
+    coefficients, so a step cut short is exact as far as it goes.  The cold
+    walk, up the diagonal m from depth 0 to k, adds about k^2 (n-k) / 4
+    coefficients in its running sums, against k^2 (n-k) / 2 at whole length.
 
     No step reaches past its quotient's degree, so no step has a remainder
-    to check.  Instead the i coefficients past the middle must equal their
-    mirror partners d - j, or InvariantError is raised; when d // 2 + i
+    to check.  Instead the s coefficients past the middle must equal their
+    mirror partners d - j, or InvariantError is raised; when d // 2 + s
     reaches d the whole quotient is built and the check covers all of it.
     The result is checked against its closed-form values at q = 1 and
-    q = -1 as well.
+    q = -1 as well, read from its half.
 
-    The partial quotients [m+1, 1], [m+2, 2], ... lie on one diagonal
-    m = n - k (k <= n - k), so a known [a+j, j] with 1 <= a <= m and
-    j <= min(k, n - k) may be passed as start, and a as diagonal (m by
-    default).  Its leading a*j // 2 + 1 coefficients seed the window.  Since
-    [a+j, j] = [j+a, a] lies on the diagonal j, the walk first takes the
-    steps of that diagonal from depth a + 1 to m, multiplying by
-    (1 - q^(j+t)) and dividing by (1 - q^t), which end at [m+j, j]; then the
-    steps j + 1..k of the diagonal m.  Each step keeps its palindrome check.
-    A start that is not a palindrome of degree a*j raises InvariantError.
+    A known [a+j, j] with a >= 1, on the diagonal a at depth j, may be
+    passed as start, and a as diagonal (m by default); its leading
+    a*j // 2 + 1 coefficients seed the window.  The walk moves a to m and
+    j to k, in whichever order adds fewer coefficients: about
+    j |m^2 - a^2| + m |k^2 - j^2| for a first, a |k^2 - j^2| + k |m^2 - a^2|
+    for j first.  A start past the target is walked back.  Each step keeps
+    its palindrome check.  A start that is not a palindrome of degree a*j
+    raises InvariantError.
     """
     k = min(k, n - k)
     m = n - k
-    coeffs, prev, j, a = [1], 0, 0, m  # [m, 0] = 1, its degree, depth and diagonal
+    # [m, 0] = 1 and its degree, and the walk up the diagonal m from depth 0
+    coeffs, prev, legs = [1], 0, ((m, 0, k),)
     if start is not None and k:
         a = m if diagonal is None else diagonal
         seed = start.coeffs
-        j = (len(seed) - 1) // a if 0 < a <= m else -1
-        if start.val or not 0 <= j <= k or j * a != len(seed) - 1 or seed != seed[::-1]:
-            raise InvariantError(
-                f"start is not a palindrome [{a} + j, j] with j <= {k} on a diagonal 1..{m}"
-            )
+        j = (len(seed) - 1) // a if a > 0 else -1
+        if start.val or j < 0 or j * a != len(seed) - 1 or seed != seed[::-1]:
+            raise InvariantError(f"start is not a palindrome [{a} + j, j] on a diagonal a >= 1")
         coeffs, prev = list(seed[: j * a // 2 + 1]), j * a
-    # the diagonal j from depth a to m, then the diagonal m from j to k
-    for d, lo, hi in ((j, a, m), (m, j, k)) if a < m else ((m, j, k),):
-        # the window of [m+j, j] can be wider than that of the next step:
-        # cut it to the half that every window covers
-        del coeffs[prev // 2 + 1 :]
-        for i in range(lo + 1, hi + 1):
-            top, deg = d + i, i * d
+        da, dj = abs(m * m - a * a), abs(k * k - j * j)
+        # (held coordinate, moving coordinate, its end) for each leg
+        if j * da + m * dj <= a * dj + k * da:
+            legs = ((j, a, m), (m, j, k))  # a first
+        else:
+            legs = ((a, j, k), (k, a, m))  # j first
+    for other, c, end in legs:
+        up = end > c
+        for c in range(c + 1, end + 1) if up else range(c - 1, end - 1, -1):
+            u, s = (c + other, c) if up else (c + 1, c + 1 + other)
+            deg = c * other
             mid = deg // 2
-            width = min(mid + 1 + i, deg + 1)
-            # extend the window of [top - 1, i - 1], a palindrome of degree
-            # prev, by mirror to width coefficients, or to all prev + 1
-            coeffs += reversed(coeffs[prev + 1 - min(width, prev + 1) : prev + 1 - len(coeffs)])
-            # multiply by (1 - q^top), modulo q^width
-            prod = coeffs + [0] * (width - len(coeffs))
-            prod[top:] = map(operator.sub, prod[top:], coeffs)
-            _divide_by_one_minus_q_power(prod, i)
-            if prod[mid + 1 :] != prod[deg + 1 - width : deg - mid][::-1]:
-                raise InvariantError(f"partial quotient [{top}, {i}] is not palindromic")
-            coeffs, prev = prod, deg
-    coeffs += reversed(coeffs[: prev + 1 - len(coeffs)])  # all of [m+k, k]
+            width = min(mid + 1 + s, deg + 1)
+            # the window of the last quotient, a palindrome of degree prev,
+            # extended by mirror or cut to width coefficients, then by zeros
+            if len(coeffs) < width:
+                have = min(width, prev + 1)
+                coeffs += reversed(coeffs[prev + 1 - have : prev + 1 - len(coeffs)])
+                coeffs += repeat(0, width - len(coeffs))
+            else:
+                del coeffs[width:]
+            # multiply by (1 - q^u), modulo q^width
+            coeffs[u:] = map(operator.sub, coeffs[u:], coeffs)
+            _divide_by_one_minus_q_power(coeffs, s)
+            if coeffs[mid + 1 :] != coeffs[deg + 1 - width : deg - mid][::-1]:
+                raise InvariantError(f"partial quotient [{c + other}, {c}] is not palindromic")
+            prev = deg
+    del coeffs[prev // 2 + 1 :]
     _check_at_plus_minus_one(n, k, coeffs)
+    coeffs += reversed(coeffs[: prev + 1 - len(coeffs)])  # all of [m+k, k]
     return coeffs
 
 
-def _check_at_plus_minus_one(n: int, k: int, coeffs: list[int]) -> None:
-    """Raise InvariantError unless the coefficients of [n, k] sum to C(n, k)
-    at q = 1 and to the known value of [n, k] at q = -1: 0 when n is even and
-    k is odd, C(n // 2, k // 2) otherwise."""
-    if sum(coeffs) != math.comb(n, k):
+def _check_at_plus_minus_one(n: int, k: int, half: list[int]) -> None:
+    """Raise InvariantError unless [n, k], the palindrome of degree
+    d = k(n-k) whose coefficients up to d // 2 are half, sums to C(n, k) at
+    q = 1 and to its known value at q = -1: 0 when n is even and k is odd,
+    C(n // 2, k // 2) otherwise.  Each coefficient below the middle counts
+    twice, once more for its mirror partner, and the middle one once.  For
+    odd d, which is when n is even and k is odd, the partners cancel at
+    q = -1, so any half gives 0 there."""
+    deg = k * (n - k)
+    middle = 0 if deg % 2 else half[-1]
+    if 2 * sum(half) - middle != math.comb(n, k):
         raise InvariantError(f"Gaussian binomial [{n}, {k}] is wrong at q = 1")
-    at_minus_one = 0 if n % 2 == 0 and k % 2 else math.comb(n // 2, k // 2)
-    if sum(coeffs[::2]) - sum(coeffs[1::2]) != at_minus_one:
-        raise InvariantError(f"Gaussian binomial [{n}, {k}] is wrong at q = -1")
+    if deg % 2 == 0:
+        at_minus_one = 2 * (sum(half[::2]) - sum(half[1::2])) - (-middle if deg % 4 else middle)
+        if at_minus_one != math.comb(n // 2, k // 2):
+            raise InvariantError(f"Gaussian binomial [{n}, {k}] is wrong at q = -1")
 
 
 # The classical values computed so far: [a+j, j] with 1 <= j <= a as a weak
@@ -161,26 +183,35 @@ def _remember(a: int, j: int, value: LaurentPoly) -> None:
 
 
 def _nearest_start(m: int, k: int) -> tuple[LaurentPoly | None, int]:
-    """The held [a+j, j] with a <= m and j <= k from which the walk to
-    [m+k, k] costs least, and its diagonal a; (None, m) for the walk from
-    [m, 0].  A walk from [a+j, j] adds about j (m^2 - a^2) + m (k^2 - j^2)
-    coefficients, which on each diagonal is least at its deepest j <= k or
-    at j = 0, and is at least min(m k^2, k (m^2 - a^2)); so the scan down
-    the diagonals stops once k (m^2 - a^2) reaches the least cost found."""
-    best, start, diagonal = m * k * k, None, m
+    """The held [a+j, j] from which the walk to [m+k, k] costs least, and
+    its diagonal a; (None, m) for the walk from [m, 0].  A walk from
+    [a+j, j] adds about min(j |m^2 - a^2| + m |k^2 - j^2|,
+    a |k^2 - j^2| + k |m^2 - a^2|) coefficients, the cheaper order of its
+    two legs, which on each diagonal is least at the held depths next to k
+    on either side or at j = 0, and is at least min(m k^2, k |m^2 - a^2|).
+    So the scan runs down the diagonals from m, then up from m + 1, and
+    each side stops once k |m^2 - a^2| reaches the least cost found; with
+    that cost at most m k^2, it looks at no more than k + 1 + ceil(k / 2)
+    diagonals."""
+    mm, kk = m * m, k * k
+    best, start, diagonal = m * kk, None, m
     with _INDEX_LOCK:
-        a = m
-        while a and k * (m * m - a * a) < best:
-            depths = _DEPTHS.get(a)
-            if depths and (i := bisect.bisect_right(depths, k)):
-                j = depths[i - 1]
-                cost = j * (m * m - a * a) + m * (k * k - j * j)
-                # a collection may have cleared the reference and not yet
-                # run its callback, or run it in this thread meanwhile
-                ref = _DIAGONALS.get((a, j))
-                if cost < best and ref is not None and (value := ref()) is not None:
-                    best, start, diagonal = cost, value, a
-            a -= 1
+        for a, step in ((m, -1), (m + 1, 1)):
+            while a and k * (da := abs(mm - a * a)) < best:
+                depths = _DEPTHS.get(a)
+                if depths:
+                    i = bisect.bisect_right(depths, k)
+                    for j in depths[i - 1 if i else 0 : i + 1]:
+                        dj = abs(kk - j * j)
+                        cost = min(j * da + m * dj, a * dj + k * da)
+                        if cost < best:
+                            # a collection may have cleared the reference and
+                            # not yet run its callback, or run it in this
+                            # thread meanwhile
+                            ref = _DIAGONALS.get((a, j))
+                            if ref is not None and (value := ref()) is not None:
+                                best, start, diagonal = cost, value, a
+                a += step
     return start, diagonal
 
 
@@ -222,7 +253,12 @@ def qbinom(n: int, k: int) -> LaurentPoly:
         top, j = -k - 1, -n - 1
     if doubled % 2:
         raise InvariantError(f"odd q-shift exponent at ({n}, {k})")
-    return (qbinom(top, min(j, top - j)) * sign).shift(doubled // 2)
+    coeffs = qbinom(top, min(j, top - j)).coeffs
+    if sign < 0:  # negate the half and mirror it, as the kernel builds it
+        half = list(map(operator.neg, coeffs[: (len(coeffs) + 1) // 2]))
+        half += reversed(half[: len(coeffs) // 2])
+        coeffs = half
+    return LaurentPoly(doubled // 2, coeffs)
 
 
 def binom(n: int, k: int) -> int:

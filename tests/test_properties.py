@@ -7,6 +7,7 @@ must equal the per-coefficient loops they replaced, every result must be
 canonical, and ``LaurentPoly`` must satisfy the ring laws.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +46,26 @@ def test_kronecker_product_is_the_schoolbook_product(a, b):
     assert _kronecker_mul(a, b) == expect
     pa, pb = LaurentPoly(-len(a), a), LaurentPoly(3, b)
     assert pa * pb == LaurentPoly(3 - len(a), expect)
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_kronecker_product_at_each_slot_width_boundary(width):
+    # bounds 16 x on 16 coefficients a side, just below 2^(8 width - 1),
+    # the last that fits `width` bytes, and at it, the first that needs one
+    # byte more; the products reach +-16 x, with both signs in the factors
+    for x in (2 ** (8 * width - 5) - 1, 2 ** (8 * width - 5)):
+        for sign in (1, -1):
+            flat, alternating = [sign] * 16, [(-1) ** i * sign for i in range(16)]
+            for a, b in [
+                ([x] * 16, flat),
+                ([-x] * 16, flat),
+                ([(-1) ** i * x for i in range(16)], alternating),
+            ]:
+                expect = _schoolbook_mul(a, b)
+                assert max(map(abs, expect)) == 16 * x
+                assert _kronecker_mul(a, b) == expect
+                assert _kronecker_mul(b, a) == expect
+                assert LaurentPoly(0, a) * LaurentPoly(-5, b) == LaurentPoly(-5, expect)
 
 
 @settings(max_examples=300, deadline=None)

@@ -223,8 +223,8 @@ def classical_coeffs_half(n, k):
             raise InvariantError("Gaussian binomial division left a remainder")
         del prod[width:]
         coeffs = prod
-    coeffs += reversed(coeffs[: deg + 1 - half])
     _check_at_plus_minus_one(n, k, coeffs)
+    coeffs += reversed(coeffs[: deg + 1 - half])
     return coeffs
 
 
@@ -287,26 +287,60 @@ def test_kernel_checks_every_step_for_palindromy(monkeypatch, n, k, step, j):
         _classical_coeffs(n, k)
 
 
+def check_whole_at_plus_minus_one(n, k, coeffs):
+    """The checksum that read every coefficient, kept verbatim as an oracle."""
+    if sum(coeffs) != math.comb(n, k):
+        raise InvariantError(f"Gaussian binomial [{n}, {k}] is wrong at q = 1")
+    at_minus_one = 0 if n % 2 == 0 and k % 2 else math.comb(n // 2, k // 2)
+    if sum(coeffs[::2]) - sum(coeffs[1::2]) != at_minus_one:
+        raise InvariantError(f"Gaussian binomial [{n}, {k}] is wrong at q = -1")
+
+
+def verdict(check, *args):
+    try:
+        check(*args)
+    except InvariantError as err:
+        return str(err)
+    return None
+
+
 @pytest.mark.parametrize("n, k", [(2, 1), (7, 3), (10, 3), (12, 6), (61, 30)])
 def test_checksum_catches_a_perturbed_coefficient(n, k):
+    # the checksum reads the coefficients up to the middle degree d // 2 and
+    # gives the verdict of the whole-list one on the palindrome they mirror to
     coeffs = classical_coeffs_loop(n, k)
-    _check_at_plus_minus_one(n, k, coeffs)  # the true coefficients pass
-    middle = len(coeffs) // 2
-    coeffs[middle] += 1  # changes the value at q = 1
-    with pytest.raises(InvariantError, match="q = 1"):
-        _check_at_plus_minus_one(n, k, coeffs)
-    coeffs[middle - 1] -= 1  # restores q = 1, moves q = -1 by 2
-    with pytest.raises(InvariantError, match="q = -1"):
-        _check_at_plus_minus_one(n, k, coeffs)
+    half = coeffs[: (len(coeffs) + 1) // 2]
+    _check_at_plus_minus_one(n, k, half)  # the true coefficients pass
+    for s in range(len(half)):
+        for t in (0, s // 2, s, len(half) - 1):
+            changed = half[:]
+            changed[s] += 2
+            changed[t] -= 1
+            whole = changed + changed[: len(coeffs) // 2][::-1]
+            expected = verdict(check_whole_at_plus_minus_one, n, k, whole)
+            assert verdict(_check_at_plus_minus_one, n, k, changed) == expected, (s, t)
+    if len(coeffs) % 2:  # an even degree has a middle coefficient, counted once
+        half[-1] += 2
+        with pytest.raises(InvariantError, match="q = 1"):
+            _check_at_plus_minus_one(n, k, half)
+        half[-2] -= 1  # restores q = 1, moves q = -1 by 4
+        with pytest.raises(InvariantError, match="q = -1"):
+            _check_at_plus_minus_one(n, k, half)
+    else:  # an odd degree pairs every coefficient with one of the other sign at q = -1
+        half[-1] += 1
+        with pytest.raises(InvariantError, match="q = 1"):
+            _check_at_plus_minus_one(n, k, half)
 
 
 def test_kernel_ends_in_the_checksum(monkeypatch):
     seen = []
     monkeypatch.setattr(
-        sys.modules["qneg.qbinom"], "_check_at_plus_minus_one", lambda *a: seen.append(a)
+        sys.modules["qneg.qbinom"],
+        "_check_at_plus_minus_one",
+        lambda n, k, half: seen.append((n, k, list(half))),
     )
     coeffs = _classical_coeffs(10, 7)
-    assert seen == [(10, 3, coeffs)]
+    assert seen == [(10, 3, coeffs[:11])]  # degree 21: the half up to q^10
 
 
 def test_kernel_properties_on_large_random_pairs():
@@ -404,6 +438,29 @@ def test_negative_regions_resume_on_a_shared_diagonal():
             assert [qbinom(*pair) for pair in order] == expected
 
 
+def test_negative_values_of_sign_minus_one_share_their_mirrored_ints():
+    # a negative-region value negates the half of its classical reflection
+    # and mirrors it, so coefficient i and coefficient d - i are one object
+    # wherever the classical value's are; the rows are cleared as they go,
+    # so that the cache stays small
+    for n in range(-60, 0):
+        for k in range(-60, 61):
+            if k >= 0:
+                sign, top, j, e = (-1) ** k, k - n - 1, k, k * (2 * n - k + 1) // 2
+            elif k <= n:
+                sign, top, j, e = (-1) ** (n - k), -k - 1, -n - 1, (n * (n + 1) - k * (k + 1)) // 2
+            else:
+                continue
+            value = qbinom(n, k)
+            if sign > 0:
+                assert value == qbinom(top, j).shift(e), (n, k)
+                continue
+            assert value == (qbinom(top, j) * -1).shift(e), (n, k)
+            coeffs = value.coeffs
+            assert all(x is y for x, y in zip(coeffs, reversed(coeffs))), (n, k)
+        qbinom.cache_clear()
+
+
 @pytest.mark.parametrize("m, j, k", [(1, 1, 1), (6, 2, 2), (6, 2, 5), (30, 11, 30), (29, 12, 13)])
 def test_kernel_rejects_a_start_with_one_coefficient_changed(m, j, k):
     start = qbinom(m + j, j)
@@ -418,7 +475,7 @@ def test_kernel_rejects_a_start_off_the_diagonal():
     with pytest.raises(InvariantError, match="not a palindrome"):
         _classical_coeffs(20, 10, start=qbinom(13, 4))  # diagonal 9, not 10
     with pytest.raises(InvariantError, match="not a palindrome"):
-        _classical_coeffs(20, 5, start=qbinom(21, 6))  # past [20, 5]
+        _classical_coeffs(20, 5, start=qbinom(21, 5))  # diagonal 16, not 15
 
 
 def test_diagonal_index_retains_nothing_after_cache_clear():
@@ -506,7 +563,20 @@ def test_kernel_checks_every_column_step_for_palindromy(monkeypatch, a, j, m, k,
 
 
 @pytest.mark.parametrize(
-    "a, j, m, k", [(1, 1, 2, 1), (3, 2, 6, 2), (3, 2, 6, 5), (12, 11, 30, 30), (20, 12, 29, 13)]
+    "a, j, m, k",
+    [
+        (1, 1, 2, 1),
+        (3, 2, 6, 2),
+        (3, 2, 6, 5),
+        (12, 11, 30, 30),
+        (20, 12, 29, 13),
+        # starts past the target, walked back by down-steps
+        (2, 1, 1, 1),
+        (8, 3, 6, 2),
+        (9, 8, 9, 3),
+        (31, 5, 30, 12),
+        (36, 20, 30, 13),
+    ],
 )
 def test_kernel_rejects_a_column_start_with_one_coefficient_changed(a, j, m, k):
     start = qbinom(a + j, j)
@@ -517,16 +587,92 @@ def test_kernel_rejects_a_column_start_with_one_coefficient_changed(a, j, m, k):
             _classical_coeffs(m + k, k, start=LaurentPoly(0, changed), diagonal=a)
 
 
+@pytest.mark.parametrize(
+    "a, j, m, k, s, i, quotient",
+    [
+        # down the diagonal 10 from depth 50 to 40: the step to depth 45
+        # divides by 1 - q^56, and [55, 45] is built to 281 of degree 450
+        (50, 10, 40, 10, 56, 250, (55, 45)),
+        (50, 10, 40, 10, 56, 200, (55, 45)),  # the mirror partner of coefficient 250
+        # down the diagonal 40 from depth 15 to 10: the step to depth 12
+        # divides by 1 - q^53, and [52, 12] is built to 293 of degree 480
+        (40, 15, 40, 10, 53, 260, (52, 12)),
+        (40, 15, 40, 10, 53, 220, (52, 12)),
+        (2, 1, 1, 1, 3, 0, (2, 1)),  # [2, 1]: degree 1, built whole
+    ],
+)
+def test_kernel_checks_every_down_step_for_palindromy(monkeypatch, a, j, m, k, s, i, quotient):
+    start = qbinom(a + j, j)
+    qbinom_module = sys.modules["qneg.qbinom"]
+    divide = qbinom_module._divide_by_one_minus_q_power
+
+    def divide_and_corrupt(prod, d):
+        divide(prod, d)
+        if d == s:
+            prod[i] += 1
+
+    monkeypatch.setattr(qbinom_module, "_divide_by_one_minus_q_power", divide_and_corrupt)
+    top, step = quotient
+    with pytest.raises(InvariantError, match=rf"\[{top}, {step}\] is not palindromic"):
+        _classical_coeffs(m + k, k, start=start, diagonal=a)
+
+
+@st.composite
+def walks_from_every_side(draw):
+    """(a, j, m, k) with 1 <= k <= m and 0 <= j <= min(a, 100): the held
+    [a+j, j] on a chosen side of the target [m+k, k] in each coordinate, a
+    below or above m and j below or above k (or equal, where a side is
+    empty)."""
+    m = draw(st.integers(1, 200))
+    k = draw(st.integers(1, min(m, 100)))
+    a_above, j_above = draw(st.booleans()), draw(st.booleans())
+    a = draw(st.integers(m, 200) if a_above else st.integers(1, m))
+    top = min(a, 100)
+    j = draw(st.integers(min(k, top), top) if j_above else st.integers(0, min(k, top)))
+    return a, j, m, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(walks_from_every_side())
+@example((2, 1, 1, 1))  # one step back in a
+@example((3, 3, 5, 2))  # a up, j down
+@example((200, 100, 150, 60))  # both down
+@example((100, 20, 120, 60))  # both up
+@example((190, 3, 100, 100))  # a down, j up
+@example((100, 0, 100, 100))  # from [100, 0] = 1 on the target's diagonal
+def test_kernel_resumed_from_every_side_matches_half_oracle(walk):
+    a, j, m, k = walk
+    expected = classical_coeffs_half(m + k, k)
+    start = qbinom(a + j, j)
+    assert _classical_coeffs(m + k, k, start=start, diagonal=a) == expected
+    assert _classical_coeffs(m + k, m, start=start, diagonal=a) == expected
+
+
 def test_kernel_rejects_a_start_off_its_stated_diagonal():
     # [20, 5] lies on the diagonal 15
     for start, diagonal in [
-        (qbinom(22, 5), 17),  # a diagonal past 15
-        (qbinom(18, 6), 12),  # a depth past 5
+        (qbinom(22, 5), 18),  # [22, 5] lies on the diagonal 17
         (qbinom(16, 4), 11),  # [16, 4] lies on the diagonal 12
         (qbinom(5, 1), 0),
     ]:
         with pytest.raises(InvariantError, match="not a palindrome"):
             _classical_coeffs(20, 5, start=start, diagonal=diagonal)
+    # a palindrome of degree 2 that is not [3, 1] is caught on the walk
+    with pytest.raises(InvariantError):
+        _classical_coeffs(20, 5, start=LaurentPoly(0, (1, 2, 1)), diagonal=2)
+
+
+def test_kernel_walks_back_from_a_start_past_the_target():
+    # [20, 5] lies on the diagonal 15 at depth 5
+    expected = classical_coeffs_half(20, 5)
+    assert _classical_coeffs(20, 5, start=qbinom(21, 6)) == expected  # deeper on 15
+    for start, diagonal in [
+        (qbinom(22, 5), 17),  # a diagonal past 15
+        (qbinom(18, 6), 12),  # a depth past 5
+        (qbinom(28, 7), 21),  # both
+        (qbinom(16, 4), 4),  # [16, 4] = [16, 12] lies on the diagonal 4 at depth 12
+    ]:
+        assert _classical_coeffs(20, 5, start=start, diagonal=diagonal) == expected
 
 
 def test_nearest_start_picks_the_least_cost_source():
@@ -540,16 +686,24 @@ def test_nearest_start_picks_the_least_cost_source():
     lower = qbinom(50, 10)  # diagonal 40, depth 10: 10 (45^2 - 40^2) + 45 (12^2 - 10^2)
     assert 10 * (45**2 - 40**2) + 45 * (12**2 - 10**2) < 45 * 12**2
     assert nearest(45, 12) == (lower, 40)
-    assert nearest(45, 9) == (None, 45)  # nothing held at depth 9 or less
+    # to [54, 9], depth 10 first: 40 (10^2 - 9^2) + 9 (45^2 - 40^2) = 4585,
+    # and depth 2 costs 2 (45^2 - 40^2) + 45 (9^2 - 2^2) = 4315
+    assert min(10 * (45**2 - 40**2) + 45 * (10**2 - 9**2), 40 * (10**2 - 9**2) + 9 * 425) == 4585
+    assert 4315 > 45 * 9**2
+    assert nearest(45, 9) == (None, 45)
     same = qbinom(56, 11)  # diagonal 45, depth 11: 45 (12^2 - 11^2)
     assert nearest(45, 12) == (same, 45)
+    assert nearest(45, 10) == (same, 45)  # one step back: 45 (11^2 - 10^2)
+    assert nearest(38, 10) == (lower, 40)  # a higher diagonal: 10 (40^2 - 38^2)
     far = qbinom(2, 1)  # diagonal 1, depth 1
     assert nearest(45, 12) == (same, 45)
     del shallow, lower, same, far
 
 
-def test_nearest_start_looks_at_no_more_than_k_plus_one_diagonals(monkeypatch):
-    # whatever the index holds: 1 <= j <= min(a, 6) on every diagonal a < 120
+def test_nearest_start_looks_at_no_more_than_k_plus_one_plus_half_k_diagonals(monkeypatch):
+    # whatever the index holds: 1 <= j <= min(a, 6) on every diagonal a < 120;
+    # the least cost is at most m k^2, so the scan stops below m once
+    # k (m^2 - a^2) >= m k^2, a <= m - k, and above it once a >= m + k / 2
     qbinom_module = sys.modules["qneg.qbinom"]
     qbinom.cache_clear()
     held = [qbinom(a + j, j) for a in range(1, 120) for j in range(1, min(a, 6) + 1)]
@@ -564,7 +718,7 @@ def test_nearest_start_looks_at_no_more_than_k_plus_one_diagonals(monkeypatch):
     for m, k in [(100, 5), (119, 1), (60, 30), (200, 40), (119, 119)]:
         looked.clear()
         qbinom_module._nearest_start(m, k)
-        assert 0 < len(looked) <= k + 1, (m, k)
+        assert 0 < len(looked) <= k + 1 + math.ceil(k / 2), (m, k)
     monkeypatch.undo()  # no value died meanwhile, so the index is as it was
     del held
     qbinom.cache_clear()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import operator
 import sys
+from array import array
 from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from itertools import accumulate, repeat
@@ -174,7 +175,15 @@ class LaurentPoly:
                 return self
             if other == 0:
                 return ZERO
-            return LaurentPoly(self.val, tuple(map(operator.mul, self.coeffs, repeat(other))))
+            coeffs = self.coeffs
+            if coeffs == coeffs[::-1]:
+                # scale the half of a palindrome and mirror it, so that the
+                # product, like a classical Gaussian polynomial, holds each
+                # mirror pair of coefficients as one int object
+                half = list(map(operator.mul, coeffs[: (len(coeffs) + 1) // 2], repeat(other)))
+                half += reversed(half[: len(coeffs) // 2])
+                return LaurentPoly(self.val, half)
+            return LaurentPoly(self.val, tuple(map(operator.mul, coeffs, repeat(other))))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -288,6 +297,9 @@ ONE = LaurentPoly(0, (1,))
 # products with one long factor favour Kronecker from about 10 on.
 KRONECKER_MIN_LEN = 16
 
+# The `array` typecodes of signed machine words of 1, 2, 4 and 8 bytes.
+_WORD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
 
 def _schoolbook_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The convolution of two coefficient lists, term by term."""
@@ -319,10 +331,10 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1  # bytes per slot: 8 * width > bit_length
-    words = None
-    if width <= 8:
+    words = width <= 8
+    if words:
         width = 1 << (width - 1).bit_length()
-        words = _word_array(width)
+        code = _WORD_CODES[width]
     half = 1 << (8 * width - 1)
     half_bytes = half.to_bytes(width, "little")
 
@@ -331,7 +343,7 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
     def pack(coeffs: Sequence[int]) -> int:
         if words:
-            packed = words(coeffs)
+            packed = array(code, coeffs)
             if sys.byteorder == "big":
                 packed.byteswap()
             biased = int.from_bytes(packed.tobytes(), "little") ^ halves(len(coeffs))
@@ -345,7 +357,7 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     slots = halves(size)
     biased = pack(a) * pack(b) + slots
     if words:
-        out = words((biased ^ slots).to_bytes(width * size, "little"))
+        out = array(code, (biased ^ slots).to_bytes(width * size, "little"))
         if sys.byteorder == "big":
             out.byteswap()
         return out.tolist()
@@ -354,17 +366,6 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         int.from_bytes(raw[i : i + width], "little") - half
         for i in range(0, width * size, width)
     ]
-
-
-@functools.cache
-def _word_array(width: int) -> functools.partial | None:
-    """The constructor of `array`s of signed machine words of `width` bytes,
-    or None.  The first product that needs it imports `array`; no command
-    needs the module at start-up."""
-    from array import array
-
-    codes = [code for code in "bhilq" if array(code).itemsize == width]
-    return functools.partial(array, codes[0]) if codes else None
 
 
 def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:

@@ -87,11 +87,10 @@ def _classical_coeffs(
     A known [a+j, j] with a >= 1, on the diagonal a at depth j, may be
     passed as start, and a as diagonal (m by default); its leading
     a*j // 2 + 1 coefficients seed the window.  The walk moves a to m and
-    j to k, in whichever order adds fewer coefficients: about
-    j |m^2 - a^2| + m |k^2 - j^2| for a first, a |k^2 - j^2| + k |m^2 - a^2|
-    for j first.  A start past the target is walked back.  Each step keeps
-    its palindrome check.  A start that is not a palindrome of degree a*j
-    raises InvariantError.
+    j to k, in whichever order adds fewer coefficients (`_walk_costs`).  A
+    start past the target is walked back.  Each step keeps its palindrome
+    check.  A start that is not a palindrome of degree a*j raises
+    InvariantError.
     """
     k = min(k, n - k)
     m = n - k
@@ -104,9 +103,9 @@ def _classical_coeffs(
         if start.val or j < 0 or j * a != len(seed) - 1 or seed != seed[::-1]:
             raise InvariantError(f"start is not a palindrome [{a} + j, j] on a diagonal a >= 1")
         coeffs, prev = list(seed[: j * a // 2 + 1]), j * a
-        da, dj = abs(m * m - a * a), abs(k * k - j * j)
         # (held coordinate, moving coordinate, its end) for each leg
-        if j * da + m * dj <= a * dj + k * da:
+        a_first, j_first = _walk_costs(m, k, a, j)
+        if a_first <= j_first:
             legs = ((j, a, m), (m, j, k))  # a first
         else:
             legs = ((a, j, k), (k, a, m))  # j first
@@ -135,6 +134,16 @@ def _classical_coeffs(
     _check_at_plus_minus_one(n, k, coeffs)
     coeffs += reversed(coeffs[: prev + 1 - len(coeffs)])  # all of [m+k, k]
     return coeffs
+
+
+def _walk_costs(m: int, k: int, a: int, j: int) -> tuple[int, int]:
+    """The coefficients that the walk from [a+j, j] to [m+k, k] adds, up to
+    a common factor, when it moves a first and when it moves j first.  A
+    step to [x+y, y] adds about x*y / 2 in its running sums, so a leg at
+    the held depth y from diagonal a to m adds about y |m^2 - a^2| / 4, and
+    one on the held diagonal x from depth j to k about x |k^2 - j^2| / 4."""
+    da, dj = abs(m * m - a * a), abs(k * k - j * j)
+    return j * da + m * dj, a * dj + k * da
 
 
 def _check_at_plus_minus_one(n: int, k: int, half: list[int]) -> None:
@@ -185,25 +194,23 @@ def _remember(a: int, j: int, value: LaurentPoly) -> None:
 def _nearest_start(m: int, k: int) -> tuple[LaurentPoly | None, int]:
     """The held [a+j, j] from which the walk to [m+k, k] costs least, and
     its diagonal a; (None, m) for the walk from [m, 0].  A walk from
-    [a+j, j] adds about min(j |m^2 - a^2| + m |k^2 - j^2|,
-    a |k^2 - j^2| + k |m^2 - a^2|) coefficients, the cheaper order of its
-    two legs, which on each diagonal is least at the held depths next to k
-    on either side or at j = 0, and is at least min(m k^2, k |m^2 - a^2|).
+    [a+j, j] costs the cheaper order of its two legs, min(`_walk_costs`) =
+    min(j |m^2 - a^2| + m |k^2 - j^2|, a |k^2 - j^2| + k |m^2 - a^2|),
+    which on each diagonal is least at the held depths next to k on either
+    side or at j = 0, and is at least min(m k^2, k |m^2 - a^2|).
     So the scan runs down the diagonals from m, then up from m + 1, and
     each side stops once k |m^2 - a^2| reaches the least cost found; with
     that cost at most m k^2, it looks at no more than k + 1 + ceil(k / 2)
     diagonals."""
-    mm, kk = m * m, k * k
-    best, start, diagonal = m * kk, None, m
+    best, start, diagonal = m * k * k, None, m
     with _INDEX_LOCK:
         for a, step in ((m, -1), (m + 1, 1)):
-            while a and k * (da := abs(mm - a * a)) < best:
+            while a and k * abs(m * m - a * a) < best:
                 depths = _DEPTHS.get(a)
                 if depths:
                     i = bisect.bisect_right(depths, k)
                     for j in depths[i - 1 if i else 0 : i + 1]:
-                        dj = abs(kk - j * j)
-                        cost = min(j * da + m * dj, a * dj + k * da)
+                        cost = min(_walk_costs(m, k, a, j))
                         if cost < best:
                             # a collection may have cleared the reference and
                             # not yet run its callback, or run it in this
@@ -253,12 +260,7 @@ def qbinom(n: int, k: int) -> LaurentPoly:
         top, j = -k - 1, -n - 1
     if doubled % 2:
         raise InvariantError(f"odd q-shift exponent at ({n}, {k})")
-    coeffs = qbinom(top, min(j, top - j)).coeffs
-    if sign < 0:  # negate the half and mirror it, as the kernel builds it
-        half = list(map(operator.neg, coeffs[: (len(coeffs) + 1) // 2]))
-        half += reversed(half[: len(coeffs) // 2])
-        coeffs = half
-    return LaurentPoly(doubled // 2, coeffs)
+    return (qbinom(top, min(j, top - j)) * sign).shift(doubled // 2)
 
 
 def binom(n: int, k: int) -> int:

@@ -176,6 +176,17 @@ def test_scaling_is_the_coefficient_loop(a, c):
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.integers(-60, 60), st.lists(edge_coefficient, max_size=24), st.booleans(), scalar)
+def test_scaling_a_palindrome_shares_its_mirrored_ints(val, half, odd, c):
+    a = LaurentPoly(val, half + half[::-1][odd:])
+    value = a * c
+    assert value == reference_scale(a, c)
+    assert_canonical(value)
+    if c != 1:
+        assert all(x is y for x, y in zip(value.coeffs, reversed(value.coeffs)))
+
+
+@settings(max_examples=300, deadline=None)
 @given(short_laurent, monomial)
 def test_monomial_product_scales_and_shifts(a, x):
     expect = reference_scale(a, x.coeffs[0]).shift(x.val)

@@ -15,8 +15,6 @@ process loads only those.
 from __future__ import annotations
 
 import argparse
-import functools
-import importlib
 import os
 import sys
 from collections import namedtuple
@@ -327,25 +325,18 @@ def _emit(ns, lines: Callable[[], Iterable[str]], body: Callable[[], dict]) -> N
             print(line)
 
 
-@functools.cache
-def _qbinom_module():
-    # imported once: a guard sizes thousands of small values, and importing
-    # degree_profile for each costs more than the sizing
-    return importlib.import_module(".qbinom", __package__)
-
-
 def _value_size(n: int, k: int, q1: bool) -> int:
-    """The coefficients of qbinom(n, k), from its degree_profile, or with q1
-    an upper bound on the decimal digits of binom(n, k); a zero counts as
-    one."""
-    profile = _qbinom_module().degree_profile(n, k)
-    if profile is None:
+    """The coefficients of qbinom(n, k), or with q1 an upper bound on the
+    decimal digits of binom(n, k); a zero counts as one.  The reflections put
+    a nonzero qbinom(n, k) at a sign and a power of q times the classical
+    [top, j], which has j(top - j) + 1 coefficients and comb(top, j) as its
+    value at q = 1."""
+    top, j = (n, k) if n >= 0 else (k - n - 1, k) if k >= 0 else (-k - 1, -n - 1)
+    if not 0 <= j <= top:
         return 1
     if not q1:
-        return profile[1] - profile[0] + 1
-    # |binom(n, k)| = comb(top, j) after the reflections in qbinom.binom, and
+        return j * (top - j) + 1
     # comb(top, j) <= min(2**top, (e * top / j)**j) < 2**bits
-    top, j = (n, k) if n >= 0 else (k - n - 1, k) if k >= 0 else (-k - 1, -n - 1)
     j = min(j, top - j)
     bits = min(top, j * (top.bit_length() - j.bit_length() + 3))
     return bits * 30103 // 100000 + 1

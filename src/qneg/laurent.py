@@ -292,9 +292,9 @@ ZERO = LaurentPoly(0, ())
 ONE = LaurentPoly(0, (1,))
 
 # Products whose shorter factor has fewer coefficients than this use the
-# schoolbook convolution; longer ones use Kronecker substitution.  Measured
-# on CPython 3.11, x86-64: balanced products break even near this length, and
-# products with one long factor favour Kronecker from about 10 on.
+# schoolbook convolution; longer ones use Kronecker substitution.  The value
+# predates word slots, which moved the balanced break-even on CPython 3.11,
+# x86-64, from near 16 to near 8 x 8; it stays until a measured change moves it.
 KRONECKER_MIN_LEN = 16
 
 # The `array` typecodes of signed machine words of 1, 2, 4 and 8 bytes.
@@ -320,14 +320,14 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
     Every coefficient of the product is bounded in absolute value by
     max|a| * max|b| * min(len a, len b) < 2**(w-1), so each w-bit slot of
-    the product holds one coefficient.  Adding 2**(w-1) to every slot makes
-    all slots nonnegative, so no slot borrows from its neighbour, and the
-    slots are then read back from the bytes of one integer.
+    the product holds one coefficient.  Slots are written and read in two's
+    complement; XOR with 2**(w-1) in every slot turns them into nonnegative
+    slots biased by 2**(w-1) and back, so no slot of the product borrows
+    from its neighbour.
 
     A slot of at most 8 bytes is widened to 1, 2, 4 or 8, a machine word,
-    and then both directions run in C: XOR with 2**(w-1) in every slot turns
-    a biased slot into its two's complement and back, and `array` reads and
-    writes two's-complement words.
+    which `array` writes and reads in C; a wider slot goes through
+    int.to_bytes and int.from_bytes.
     """
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1  # bytes per slot: 8 * width > bit_length
@@ -335,8 +335,7 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if words:
         width = 1 << (width - 1).bit_length()
         code = _WORD_CODES[width]
-    half = 1 << (8 * width - 1)
-    half_bytes = half.to_bytes(width, "little")
+    half_bytes = bytes(width - 1) + b"\x80"  # 2**(w-1), little-endian
 
     def halves(slots: int) -> int:  # 2**(w-1) in each of `slots` slots
         return int.from_bytes(half_bytes * slots, "little")
@@ -346,24 +345,22 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
             packed = array(code, coeffs)
             if sys.byteorder == "big":
                 packed.byteswap()
-            biased = int.from_bytes(packed.tobytes(), "little") ^ halves(len(coeffs))
+            packed = packed.tobytes()
         else:
-            shifted = map(operator.add, coeffs, repeat(half))
-            packed = b"".join(map(int.to_bytes, shifted, repeat(width), repeat("little")))
-            biased = int.from_bytes(packed, "little")
-        return biased - halves(len(coeffs))
+            packed = b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
+        bias = halves(len(coeffs))
+        return (int.from_bytes(packed, "little") ^ bias) - bias
 
     size = len(a) + len(b) - 1
     slots = halves(size)
-    biased = pack(a) * pack(b) + slots
+    raw = ((pack(a) * pack(b) + slots) ^ slots).to_bytes(width * size, "little")
     if words:
-        out = array(code, (biased ^ slots).to_bytes(width * size, "little"))
+        out = array(code, raw)
         if sys.byteorder == "big":
             out.byteswap()
         return out.tolist()
-    raw = biased.to_bytes(width * size, "little")
     return [
-        int.from_bytes(raw[i : i + width], "little") - half
+        int.from_bytes(raw[i : i + width], "little", signed=True)
         for i in range(0, width * size, width)
     ]
 

@@ -433,6 +433,8 @@ def test_q1_size_bound_covers_every_value():
         for k in range(-40, 41):
             size = cli._value_size(n, k, True)
             assert size >= len(str(abs(binom(n, k))))
+            # the guard's plain size is the value's coefficient count
+            assert cli._value_size(n, k, False) == max(1, len(qbinom(n, k).coeffs))
 
 
 def test_eval_q1_too_large_exits_two_at_once():
@@ -889,16 +891,15 @@ def test_json_line_is_pinned(capsys, argv, line):
 def test_size_guard_stops_at_the_first_value_past_the_limit(capsys, monkeypatch):
     # the grid has 1,000,000 cells, within the up-front cell count, but its
     # values hold about 2.5e11 coefficients: the sum passes the limit within
-    # the first row, so the guard need not profile every cell
+    # the first row, so the guard need not size every cell
     calls = []
-    qbinom_module = sys.modules["qneg.qbinom"]
-    profile = qbinom_module.degree_profile
+    value_size = cli._value_size
 
-    def counted(n, k):
+    def counted(n, k, q1):
         calls.append((n, k))
-        return profile(n, k)
+        return value_size(n, k, q1)
 
-    monkeypatch.setattr(qbinom_module, "degree_profile", counted)
+    monkeypatch.setattr(cli, "_value_size", counted)
     code, out, err = run_cli(capsys, "table", "--n", "-999..0", "--k", "0..999")
     assert (code, out) == (2, "")
     assert err.startswith("error: the result is too large") and err.count("\n") == 1

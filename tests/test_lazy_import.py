@@ -53,6 +53,29 @@ def test_verify_symmetry_loads_only_what_it_uses():
     assert "json" not in loaded and "typing" not in loaded
 
 
+REFUSAL_PROBE = """
+import sys
+import qneg.cli
+code = qneg.cli.main({argv!r})
+print(code, sorted(m for m in sys.modules if m.startswith("qneg.")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--n", "1000000000", "--k", "500000000", "--q1"],
+        ["table", "--n", "-999..0", "--k", "0..999"],
+    ],
+    ids=["eval", "table"],
+)
+def test_a_refused_request_loads_no_library_module(argv):
+    # the size guard reads every size from the reflections, not from qbinom
+    proc = python_s("-c", REFUSAL_PROBE.format(argv=argv))
+    assert (proc.returncode, proc.stdout) == (0, "2 ['qneg.cli']\n")
+    assert proc.stderr.startswith("error: the result is too large")
+
+
 ORDERS = [
     ["laurent", "qbinom", "hybridset", "qseries", "congruence", "apery", "cli"],
     ["cli", "apery", "congruence", "qseries", "hybridset", "qbinom", "laurent"],

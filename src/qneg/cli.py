@@ -274,16 +274,21 @@ APERY_CONGRUENCE_CASES = (
 )
 
 
+def _apery_digits(m: int) -> int:
+    """A bound on the decimal digits of A(m), m >= 0.  With
+    t_k = C(m, k) C(m + k, k), A(m) is at most (sum of t_k)^2 = P_m(3)^2,
+    and Laplace's integral for the Legendre polynomial gives
+    P_m(3) <= (3 + 2 sqrt 2)^m, so A(m) < 34^m for m >= 1: it has at most
+    m log10(34) + 1 digits, log10(34) < 1.5315."""
+    return m * 15315 // 10000 + 1
+
+
 def _suite_apery(ns) -> Iterator[Case]:
     from .apery import verify_apery_congruence, verify_apery_symmetry
 
     n_values = _span(ns.n, 0, 25)
-    # the sum at -n has at most |n| + 1 terms, each at most A(|n|) or
-    # A(|n| - 1).  With t_k = C(n, k) C(n + k, k), A(n) is at most
-    # (sum of t_k)^2 = P_n(3)^2, and Laplace's integral for the Legendre
-    # polynomial gives P_n(3) <= (3 + 2 sqrt 2)^n, so A(n) < 34^n for n >= 1:
-    # a term has at most |n| log10(34) + 1 digits, log10(34) < 1.5315
-    _check_total(((abs(n) + 1) * (abs(n) * 15315 // 10000 + 1) for n in n_values), "digits")
+    # the sum at -n has at most |n| + 1 terms, each at most A(|n|) or A(|n| - 1)
+    _check_total(((abs(n) + 1) * _apery_digits(abs(n)) for n in n_values), "digits")
     for n in n_values:
         yield f"apery symmetry n={n}", verify_apery_symmetry(n)
     for p, r, m, variant in APERY_CONGRUENCE_CASES:
@@ -422,11 +427,14 @@ def _apery(ns) -> str:
     # A(n) = A(-n - 1) is at least its k = m term, C(2m, m)^2 >= 16^m / (4m),
     # so it has more than 2m log10(4) - log10(4m) digits.  For m >= limit
     # that bound is past the limit already, so m is capped there to keep the
-    # float small; the + 1 absorbs rounding.
+    # float small; the + 1 absorbs rounding.  Without a limit, the digit
+    # bound of A(m) is held to MAX_COEFFICIENTS.
+    m = max(ns.n, -ns.n - 1)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    m = min(max(ns.n, -ns.n - 1), limit)
-    if limit and m and 2 * m * math.log10(4) - math.log10(4 * m) > limit + 1:
+    capped = min(m, limit)
+    if limit and capped and 2 * capped * math.log10(4) - math.log10(4 * capped) > limit + 1:
         raise _too_long(f"A({ns.n})")
+    _check_total([_apery_digits(m)], "digits")
     return _int_text(apery(ns.n), f"A({ns.n})")
 
 

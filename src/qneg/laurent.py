@@ -12,7 +12,7 @@ import operator
 import sys
 from array import array
 from collections import namedtuple
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from itertools import accumulate, repeat
 
 from . import _public
@@ -121,30 +121,9 @@ class LaurentPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly(0, (other,))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if not self.coeffs:
-            return other
-        if not other.coeffs:
-            return self
-        # copy the summand a that starts first, then add b over its span
-        a, b = (self, other) if self.val <= other.val else (other, self)
-        coeffs = list(a.coeffs)
-        start = b.val - a.val
-        end = start + len(b.coeffs)
-        coeffs += repeat(0, end - len(coeffs))
-        coeffs[start:end] = map(operator.add, coeffs[start:end], b.coeffs)
-        return LaurentPoly(a.val, coeffs)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.val, tuple(map(operator.neg, self.coeffs)))
-
-    def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
+    def _merge(self, other: int | LaurentPoly, op: Callable[[int, int], int]) -> LaurentPoly:
+        """self op other, for op ``operator.add`` or ``operator.sub``: self is
+        copied over the joint span, then op applies other over its own span."""
         if isinstance(other, int):
             other = LaurentPoly(0, (other,))
         if not isinstance(other, LaurentPoly):
@@ -152,8 +131,7 @@ class LaurentPoly:
         if not other.coeffs:
             return self
         if not self.coeffs:
-            return -other
-        # copy self over the joint span, then subtract other over its span
+            return other if op is operator.add else -other
         lo = min(self.val, other.val)
         hi = max(self.val + len(self.coeffs), other.val + len(other.coeffs))
         coeffs = [0] * (hi - lo)
@@ -161,8 +139,19 @@ class LaurentPoly:
         coeffs[start : start + len(self.coeffs)] = self.coeffs
         start = other.val - lo
         end = start + len(other.coeffs)
-        coeffs[start:end] = map(operator.sub, coeffs[start:end], other.coeffs)
+        coeffs[start:end] = map(op, coeffs[start:end], other.coeffs)
         return LaurentPoly(lo, coeffs)
+
+    def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
+        return self._merge(other, operator.add)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> LaurentPoly:
+        return LaurentPoly(self.val, tuple(map(operator.neg, self.coeffs)))
+
+    def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
+        return self._merge(other, operator.sub)
 
     def __rsub__(self, other: int) -> LaurentPoly:
         if not isinstance(other, int):
@@ -173,17 +162,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 1:
                 return self
-            if other == 0:
-                return ZERO
-            coeffs = self.coeffs
-            if coeffs == coeffs[::-1]:
-                # scale the half of a palindrome and mirror it, so that the
-                # product, like a classical Gaussian polynomial, holds each
-                # mirror pair of coefficients as one int object
-                half = list(map(operator.mul, coeffs[: (len(coeffs) + 1) // 2], repeat(other)))
-                half += reversed(half[: len(coeffs) // 2])
-                return LaurentPoly(self.val, half)
-            return LaurentPoly(self.val, tuple(map(operator.mul, coeffs, repeat(other))))
+            other = LaurentPoly(0, (other,))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -193,7 +172,16 @@ class LaurentPoly:
             a, b = b, a
         if len(b) == 1:  # a monomial factor scales and shifts the other one
             c = b[0]
-            out = a if c == 1 else tuple(map(operator.mul, a, repeat(c)))
+            if c == 1:
+                out = a
+            elif a == a[::-1]:
+                # scale the half of a palindrome and mirror it, so that the
+                # product, like a classical Gaussian polynomial, holds each
+                # mirror pair of coefficients as one int object
+                out = list(map(operator.mul, a[: (len(a) + 1) // 2], repeat(c)))
+                out += reversed(out[: len(a) // 2])
+            else:
+                out = tuple(map(operator.mul, a, repeat(c)))
         elif min(len(a), len(b)) < KRONECKER_MIN_LEN:
             out = _schoolbook_mul(a, b)
         else:
@@ -475,16 +463,13 @@ def cyclotomic(m: int) -> CyclotomicModulus:
 
 def _fold(a: LaurentPoly, m: int, shift: int, size: int) -> list[int]:
     """The residue of q^-shift * a modulo q^m - 1 as ``size`` <= m
-    coefficients, the one of q^r at index r.  A polynomial that fits is
-    copied in place; otherwise the coefficients of ``a`` are summed over
-    each class of exponents mod m, one slice sum per class."""
+    coefficients, the one of q^r at index r: the coefficients of ``a`` are
+    summed over each class of exponents mod m, one slice sum per class.  A
+    side of at most m coefficients makes one pass per coefficient."""
     folded = [0] * size
     start = a.val - shift
-    if start + len(a.coeffs) <= size:
-        folded[start : start + len(a.coeffs)] = a.coeffs
-    else:
-        for r in range(min(m, len(a.coeffs))):
-            folded[(start + r) % m] = sum(a.coeffs[r::m])
+    for r in range(min(m, len(a.coeffs))):
+        folded[(start + r) % m] = sum(a.coeffs[r::m])
     return folded
 
 
@@ -495,8 +480,7 @@ def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> boo
     multiplied by q^-v and reduced modulo q^m - 1 first.  With v the lower
     valuation of the two, that leaves a difference no longer than m or than
     a - b, which ``divides`` tests exactly; a - b itself is never formed.
-    Two sides that together span at most m exponents need no reduction and
-    are subtracted as they stand.
+    Both sides go through the one fold, whatever their span.
 
     >>> congruent_mod(LaurentPoly(-1, (1,)), LaurentPoly(2, (1,)), cyclotomic(3))
     True

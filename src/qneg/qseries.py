@@ -94,18 +94,20 @@ def _factor_chain(
     descending so that c[i-1] is still the old entry.  For n < 0 factors
     j = -1, -2, ..., n divide: c[i] becomes c[i] - q^s c[i-1], with i
     ascending so that c[i-1] is already the quotient's.  The exponent is
-    s = exponent(j, i).
+    s = exponent(j, i).  No factor changes c[0] = 1, so a window of that
+    one entry takes no pass.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     size = truncation if n < 0 else min(truncation, n + 1)
     c = [ONE] + [ZERO] * (size - 1)
+    passes = abs(n) if size > 1 else 0
     if n >= 0:
-        for j in range(n):
+        for j in range(passes):
             for i in range(min(j + 1, size - 1), 0, -1):
                 c[i] = c[i] + c[i - 1].shift(exponent(j, i))
     else:
-        for j in range(-1, n - 1, -1):
+        for j in range(-1, -passes - 1, -1):
             for i in range(1, size):
                 c[i] = c[i] - c[i - 1].shift(exponent(j, i))
     return c

@@ -199,6 +199,32 @@ def test_series_commands_refuse_a_huge_window_at_once(argv):
     assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (["expand", "--n", "-1000000000", "--mode", "pochhammer", "--trunc", "1"], "C(0) = 1\n"),
+        (
+            ["expand", "--n", "1000000000", "--mode", "noncommutative-from-zero", "--trunc", "1"],
+            "C(0) = 1\n",
+        ),
+        (["verify", "qbt", "--n", "-1000000000", "--trunc", "1"], "checked 1, passed 1\n"),
+    ],
+    ids=["pochhammer", "from-zero", "qbt"],
+)
+def test_a_series_window_of_one_value_takes_no_pass(argv, out):
+    # the window [n, 0] = 1 fits the size guard, and its |n| passes, which
+    # changed no entry, ran past 10 s
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qneg", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
 def _held(n, ks):
     # the coefficients of the values qbinom(n, k), a zero counting as one
     return sum(len(qbinom(n, k).coeffs) or 1 for k in ks)
@@ -632,6 +658,25 @@ def test_apery_far_past_the_int_text_limit_exits_two_at_once(fmt):
     assert proc.stderr == (
         "error: A(200000) has more than 4,300 digits, the most this Python "
         "writes out (see PYTHONINTMAXSTRDIGITS)\n"
+    )
+
+
+def test_apery_without_an_int_text_limit_is_held_to_the_size_limit():
+    # with PYTHONINTMAXSTRDIGITS=0 nothing refused A(10**9), and it ran past
+    # 5 s; A(m) < 34^m bounds its digits, as in the apery suite
+    root = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=root, PYTHONINTMAXSTRDIGITS="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qneg", "apery", "--n", "1000000000"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: the result is too large (1,531,500,001 digits by estimate; "
+        "the limit is 1,000,000)\n"
     )
 
 

@@ -176,14 +176,35 @@ def test_scaling_is_the_coefficient_loop(a, c):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(-60, 60), st.lists(edge_coefficient, max_size=24), st.booleans(), scalar)
-def test_scaling_a_palindrome_shares_its_mirrored_ints(val, half, odd, c):
+@given(
+    st.integers(-60, 60),
+    st.lists(edge_coefficient, max_size=24),
+    st.booleans(),
+    scalar,
+    st.integers(-60, 60),
+)
+def test_scaling_a_palindrome_shares_its_mirrored_ints(val, half, odd, c, e):
     a = LaurentPoly(val, half + half[::-1][odd:])
-    value = a * c
-    assert value == reference_scale(a, c)
-    assert_canonical(value)
-    if c != 1:
-        assert all(x is y for x, y in zip(value.coeffs, reversed(value.coeffs)))
+    for value, expect in (
+        (a * c, reference_scale(a, c)),
+        (a * LaurentPoly.q_power(e, c), reference_scale(a, c).shift(e)),
+        (LaurentPoly.q_power(e, c) * a, reference_scale(a, c).shift(e)),
+    ):
+        assert value == expect
+        assert_canonical(value)
+        if c != 1:
+            assert all(x is y for x, y in zip(value.coeffs, reversed(value.coeffs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_laurent.filter(lambda p: p.coeffs))
+def test_sums_and_products_share_an_operand_that_is_left_unchanged(a):
+    for value in (a + ZERO, ZERO + a, a + 0, 0 + a, a - ZERO, a - 0, a * 1, 1 * a):
+        assert value is a
+    for value in (ZERO - a, 0 - a):
+        assert value == -a
+        assert_canonical(value)
+    assert a * 0 is ZERO and 0 * a is ZERO and a * ZERO is ZERO
 
 
 @settings(max_examples=300, deadline=None)

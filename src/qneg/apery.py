@@ -9,6 +9,9 @@ three-term recurrence; the sum is kept as an independent oracle.
 
 from __future__ import annotations
 
+import bisect
+import threading
+
 from . import _public
 from .congruence import is_prime
 from .laurent import InvariantError
@@ -23,6 +26,14 @@ def _term(n: int, k: int) -> int:
     return binom(n, k) ** 2 * binom(n + k, k) ** 2
 
 
+# The pairs (A(m-1), A(m)) that apery holds, and their m in ascending order;
+# the lock keeps the two in step across threads.  The seed m = 0 holds
+# A(-1) = A(0) = 1, and A(-1) gets weight 0 at m = 1.
+_PAIRS: dict[int, tuple[int, int]] = {0: (1, 1)}
+_HELD: list[int] = [0]
+_LOCK = threading.Lock()
+
+
 def apery(n: int) -> int:
     """A(n) = sum over all integers k of binom(n,k)^2 * binom(n+k,k)^2.
 
@@ -34,18 +45,30 @@ def apery(n: int) -> int:
     through the symmetry A(-n) = A(n-1).  The defining sum is kept as
     `_apery_sum`, the oracle that `verify_apery_symmetry` checks against.
 
+    The pair (A(m-1), A(m)) is held for every m computed so far, and the
+    walk goes up to n from the largest held m <= n, so a process that asks
+    for indices in ascending order takes each step once.  The held pairs
+    are never dropped: the one for n takes about 1.3 n bytes, the same
+    unbounded policy as the cache of `qbinom`.
+
     >>> [apery(n) for n in (0, 1, 2, 3)]
     [1, 5, 73, 1445]
     """
     if n < 0:
         n = -n - 1
-    prev, cur = 1, 1  # A(-1) = A(0) = 1; A(-1) gets weight 0 at m = 1
-    for m in range(1, n + 1):
+    with _LOCK:
+        start = _HELD[bisect.bisect_right(_HELD, n) - 1]
+        prev, cur = _PAIRS[start]
+    for m in range(start + 1, n + 1):
         numer = (((34 * m - 51) * m + 27) * m - 5) * cur - (m - 1) ** 3 * prev
         nxt, rem = divmod(numer, m**3)
         if rem:
             raise InvariantError(f"Apery recurrence left a remainder at m={m}")
         prev, cur = cur, nxt
+    with _LOCK:
+        if n not in _PAIRS:
+            _PAIRS[n] = prev, cur
+            bisect.insort(_HELD, n)
     return cur
 
 

@@ -177,8 +177,13 @@ class LaurentPoly:
             elif a == a[::-1]:
                 # scale the half of a palindrome and mirror it, so that the
                 # product, like a classical Gaussian polynomial, holds each
-                # mirror pair of coefficients as one int object
-                out = list(map(operator.mul, a[: (len(a) + 1) // 2], repeat(c)))
+                # mirror pair of coefficients as one int object; a sign flip
+                # by -1, as on the negative regions, negates
+                half = a[: (len(a) + 1) // 2]
+                if c == -1:
+                    out = list(map(operator.neg, half))
+                else:
+                    out = list(map(operator.mul, half, repeat(c)))
                 out += reversed(out[: len(a) // 2])
             else:
                 out = tuple(map(operator.mul, a, repeat(c)))

@@ -156,10 +156,11 @@ def _check_at_plus_minus_one(n: int, k: int, half: list[int]) -> None:
     q = -1, so any half gives 0 there."""
     deg = k * (n - k)
     middle = 0 if deg % 2 else half[-1]
-    if 2 * sum(half) - middle != math.comb(n, k):
+    even, odd = sum(half[::2]), sum(half[1::2])
+    if 2 * (even + odd) - middle != math.comb(n, k):
         raise InvariantError(f"Gaussian binomial [{n}, {k}] is wrong at q = 1")
     if deg % 2 == 0:
-        at_minus_one = 2 * (sum(half[::2]) - sum(half[1::2])) - (-middle if deg % 4 else middle)
+        at_minus_one = 2 * (even - odd) - (-middle if deg % 4 else middle)
         if at_minus_one != math.comb(n // 2, k // 2):
             raise InvariantError(f"Gaussian binomial [{n}, {k}] is wrong at q = -1")
 

@@ -1,11 +1,34 @@
 """Apery numbers over all integer indices and their supercongruences."""
 
+import functools
 import importlib
 import math
+import random
+import threading
 
 import pytest
 
-from qneg.apery import apery, verify_apery_congruence, verify_apery_symmetry
+from qneg.apery import _apery_sum, apery, verify_apery_congruence, verify_apery_symmetry
+from qneg.laurent import InvariantError
+
+# the package rebinds the name `qneg.apery` to the function
+APERY = importlib.import_module("qneg.apery")
+
+
+@pytest.fixture(autouse=True)
+def cold_index():
+    """Hold only the seed pair of the recurrence before and after each test,
+    so that no test depends on the indices an earlier one computed."""
+
+    def empty():
+        with APERY._LOCK:
+            APERY._PAIRS.clear()
+            APERY._PAIRS[0] = (1, 1)
+            APERY._HELD[:] = [0]
+
+    empty()
+    yield
+    empty()
 
 
 def reflected_comb(n, k):
@@ -65,8 +88,7 @@ def test_symmetry_checks_the_sum_oracle(monkeypatch):
         calls.append(n)
         return apery(n) + 1
 
-    # the package rebinds the name `qneg.apery` to the function
-    monkeypatch.setattr(importlib.import_module("qneg.apery"), "_apery_sum", off_by_one)
+    monkeypatch.setattr(APERY, "_apery_sum", off_by_one)
     assert not verify_apery_symmetry(7)
     assert calls == [-7]
 
@@ -121,3 +143,84 @@ def test_apery_terms_at_minus_n_fit_the_digit_bound():
         terms = [reflected_comb(-n, k) ** 2 * reflected_comb(k - n, k) ** 2 for k in range(hi + 1)]
         assert len(terms) <= abs(n) + 1
         assert max(len(str(t)) for t in terms) <= abs(n) * 15315 // 10000 + 1, n
+
+
+# -- the recurrence resumes from held pairs ----------------------------------
+
+RESUME_INDICES = [-1500, -641, -201, -8, -2, -1, 0, 1, 2, 3, 7, 50, 199, 200, 640, 1000, 1500]
+
+
+@functools.cache
+def cold_apery(n):
+    """A(n) from a defining sum, which shares no step with the recurrence."""
+    return apery_wide_window(n) if abs(n) <= 200 else _apery_sum(n)
+
+
+def recurrence_upto(top):
+    """A(0), ..., A(top) by the recurrence from A(0), holding nothing."""
+    values = [1, 5]
+    for m in range(2, top + 1):
+        numer = (34 * m**3 - 51 * m**2 + 27 * m - 5) * values[-1] - (m - 1) ** 3 * values[-2]
+        values.append(numer // m**3)
+    return values[: top + 1]
+
+
+def assert_index_is_consistent():
+    held = APERY._HELD
+    assert held == sorted(set(held)) == sorted(APERY._PAIRS)
+    values = recurrence_upto(held[-1])
+    for m in held:
+        assert APERY._PAIRS[m] == (values[m - 1] if m else 1, values[m]), m
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_resumed_values_in_any_order_are_the_cold_values(seed):
+    order = RESUME_INDICES * 2
+    random.Random(seed).shuffle(order)
+    for n in order:
+        assert apery(n) == cold_apery(n), n
+    assert APERY._HELD == sorted({n if n >= 0 else -n - 1 for n in RESUME_INDICES})
+    assert_index_is_consistent()
+
+
+def test_a_corrupted_held_pair_fails_the_next_step():
+    apery(10)
+    prev, cur = APERY._PAIRS[10]
+    APERY._PAIRS[10] = prev, cur + 1
+    # a held index takes no step, so it returns the held value unchecked
+    assert apery(10) == cur + 1
+    # the step to 11 divides cur * P(11) + P(11) - 10^3 prev by 11^3, and the
+    # first two terms leave no remainder
+    assert (34 * 11**3 - 51 * 11**2 + 27 * 11 - 5) % 11**3 != 0
+    with pytest.raises(InvariantError, match="m=11"):
+        apery(11)
+    with pytest.raises(InvariantError, match="m=11"):
+        apery(-500)
+    assert APERY._HELD == [0, 10]
+
+
+def test_threads_resuming_interleaved_indices_agree_with_cold_values():
+    ladder = sorted(RESUME_INDICES, key=lambda n: n if n >= 0 else -n - 1)
+    expected = {n: cold_apery(n) for n in ladder}
+    start = threading.Barrier(4)
+    results, errors = {}, []
+
+    def worker(t):
+        try:
+            start.wait()
+            for n in ladder[t::4] + ladder[(t + 2) % 4 :: 4][::-1]:
+                results[t, n] = apery(n)
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors
+    assert len(results) == 2 * len(ladder)
+    for (_, n), value in results.items():
+        assert value == expected[n], n
+    assert APERY._HELD == sorted({n if n >= 0 else -n - 1 for n in ladder})
+    assert_index_is_consistent()

@@ -337,6 +337,88 @@ def test_chu_with_no_cases_does_no_work():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "checked 0, passed 0\n", "")
 
 
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "pascal", "--n", f"0..{HUGE}"],
+        ["verify", "symmetry", "--k", f"0..{HUGE}"],
+        ["verify", "reflection", "--n", f"-{HUGE}..0"],
+        ["verify", "qinv", "--k", f"-{HUGE}..{HUGE}"],
+        ["verify", "degrees", "--n", f"0..{HUGE}"],
+        ["verify", "subsets", "--n", f"0..{HUGE}"],
+        ["verify", "qlucas", "--n", f"0..{HUGE}"],
+        ["verify", "lucas", "--p", f"2..{HUGE}"],
+        ["verify", "lucas", "--n", f"-{HUGE}..0"],
+        ["verify", "qbt", "--trunc", HUGE],
+        ["verify", "ncqbt", "--n", f"0..{HUGE}"],
+        ["verify", "freshman", "--m", f"2..{HUGE}"],
+        ["table", "--n", f"0..{HUGE}", "--k", "0..0"],
+        ["table", "--n", "0..0", "--k", f"-{HUGE}..0", "--q1"],
+        ["expand", "--n", "3", "--mode", "pochhammer", "--trunc", HUGE],
+    ],
+    ids=[
+        "pascal", "symmetry", "reflection", "qinv", "degrees", "subsets", "qlucas",
+        "lucas-p", "lucas-n", "qbt", "ncqbt", "freshman", "table", "table-q1", "expand",
+    ],
+)  # fmt: skip
+def test_a_range_of_any_length_is_refused_at_once(capsys, argv):
+    # past sys.maxsize, len() of each range raised OverflowError: exit 1
+    # with a traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the result is too large") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,out,err",
+    [
+        (
+            ["verify", "chu", "--n", f"-{HUGE}..0", "--m", "0..5", "--k", "-1"],
+            "checked 0, passed 0\n",
+            "",
+        ),
+        (
+            ["verify", "qlucas", "--m", f"-{HUGE}..5", "--n", "0", "--k", "0"],
+            "",
+            f"error: modulus must be at least 2, got -{HUGE}\n",
+        ),
+        (
+            ["verify", "freshman", "--m", f"-{HUGE}..-3"],
+            "",
+            f"error: freshman congruence requires m >= 2, got -{HUGE}\n",
+        ),
+    ],
+    ids=["chu", "qlucas", "freshman"],
+)
+def test_a_huge_range_with_nothing_to_count_ends_at_once(argv, out, err):
+    # chu walked every n for an empty range of negative m, the qlucas guard
+    # summed negative moduli without end, and freshman's len() overflowed
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qneg", *argv], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert (proc.stdout, proc.stderr) == (out, err)
+    assert proc.returncode == (2 if err else 0)
+
+
+def test_qlucas_command_refuses_a_value_whose_factors_each_fit_at_once():
+    # the 249,501 coefficients of [999, 499] and the 301,031 digits bounding
+    # binom(1000000, 500000) each passed a guard of their own
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    argv = ["qlucas", "--n", "1000000999", "--k", "500000499", "--m", "1000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qneg", *argv], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: the result is too large (75,107,535,531 digits by estimate; "
+        "the limit is 1,000,000)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv,size",
     [
@@ -397,6 +479,19 @@ BOX_SIZES = [
     # [1, 1] has one coefficient and binom(20, 10) at most 7 digits
     (["qlucas", "--n", "41", "--k", "21", "--m", "2"], 7),
 ]
+
+
+def test_qlucas_command_counts_the_product_it_prints(capsys, monkeypatch):
+    # [7, 4] has 13 coefficients, each scaled by binom(20, 10), of at most 7
+    # digits: 91 digits in all
+    argv = ["qlucas", "--n", "207", "--k", "104", "--m", "10"]
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 91)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, f"{qbinom(7, 4) * binom(20, 10)}\n", "")
+    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 90)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: the result is too large (91 digits by estimate; the limit is 90)\n"
 
 
 @pytest.mark.parametrize(
@@ -703,6 +798,18 @@ def test_apery_refusal_comes_before_the_computation(capsys, monkeypatch, int_tex
     assert calls == []
     assert run_cli(capsys, "apery", "--n", "535")[0] == 0  # computed, then refused
     assert calls == [535]
+
+
+@pytest.mark.parametrize("limit,first", [(640, 536), (1000, 835), (4300, 3576), (10000, 8310)])
+def test_apery_refuses_from_a_pinned_first_index(capsys, monkeypatch, int_text_limit, limit, first):
+    # the integer lower bound on the digits of A(n) refuses from the same
+    # first n as the float bound it replaced
+    monkeypatch.setattr(sys.modules["qneg.apery"], "apery", lambda n: 0)
+    int_text_limit(limit)
+    assert run_cli(capsys, "apery", "--n", str(first - 1)) == (0, "0\n", "")
+    for n in (first, -first - 1):
+        code, out, err = run_cli(capsys, "apery", "--n", str(n))
+        assert (code, out) == (2, "") and f"A({n}) has more than {limit:,} digits" in err
 
 
 def test_apery_with_no_int_text_limit_is_never_refused(capsys, int_text_limit):

@@ -4,6 +4,7 @@ import doctest
 import importlib
 import os
 import pkgutil
+import re
 import shlex
 import subprocess
 import sys
@@ -78,6 +79,61 @@ def test_readme_command(capsys, argv, comment):
     assert code == 0
     if comment and comment not in DESCRIPTIONS:
         assert out.splitlines()[0] == comment
+
+
+def readme_size_examples():
+    """The examples of README's size table, as (environment, argv) pairs:
+    those under "Refused at once", then those under "Runs"."""
+    text = README.read_text()
+    table = text[text.index("| Command | What it counts |") :].split("\n\n", 1)[0].splitlines()
+    header = [cell.strip() for cell in table[0].split("|")]
+    columns = header.index("Refused at once"), header.index("Runs")
+    examples = [], []
+    for row in table[2:]:
+        cells = re.split(r"(?<!\\)\|", row)  # "\|" is a bar inside a cell
+        for found, column in zip(examples, columns):
+            for span in re.findall(r"`([^`]+)`", cells[column]):
+                words = shlex.split(span)
+                at = words.index("qneg")
+                found.append((dict(word.split("=", 1) for word in words[:at]), words[at:]))
+    return examples
+
+
+REFUSED, RUNS = readme_size_examples()
+
+
+def example_id(env, argv):
+    return " ".join([*(f"{name}={value}" for name, value in env.items()), *argv[1:]])
+
+
+def test_readme_size_table_is_found():
+    # the examples when this test was written
+    assert len(REFUSED) >= 13 and len(RUNS) >= 12
+    assert all(argv[0] == "qneg" for _, argv in REFUSED + RUNS)
+
+
+def run_qneg(env, argv, timeout):
+    env = dict(os.environ, PYTHONPATH=str(Path(qneg.__file__).resolve().parent.parent), **env)
+    return subprocess.run(
+        [sys.executable, "-m", *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+@pytest.mark.parametrize("env,argv", REFUSED, ids=[example_id(*e) for e in REFUSED])
+def test_readme_refused_example_exits_two_at_once(env, argv):
+    proc = run_qneg(env, argv, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("env,argv", RUNS, ids=[example_id(*e) for e in RUNS])
+def test_readme_runs_example_exits_zero(capsys, env, argv):
+    # an example that sets the environment runs as a process
+    if env:
+        proc = run_qneg(env, argv, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "") and proc.stdout
+    else:
+        assert cli.main(argv[1:]) == 0 and capsys.readouterr().out
 
 
 def test_demos_are_found():

@@ -66,8 +66,10 @@ print(code, sorted(m for m in sys.modules if m.startswith("qneg.")))
     [
         ["eval", "--n", "1000000000", "--k", "500000000", "--q1"],
         ["table", "--n", "-999..0", "--k", "0..999"],
+        ["table", "--n", "0..100000000000000000000", "--k", "0..0"],
+        ["expand", "--n", "3", "--mode", "pochhammer", "--trunc", "100000000000000000000"],
     ],
-    ids=["eval", "table"],
+    ids=["eval", "table", "table-huge", "expand-huge"],
 )
 def test_a_refused_request_loads_no_library_module(argv):
     # the size guard reads every size from the reflections, not from qbinom

@@ -443,7 +443,10 @@ def _cmd_value(ns) -> int:
     row = COMMANDS[ns.command]
     value = row.value(ns)
     inputs = {flag[2:]: getattr(ns, flag[2:]) for flag in row.args}
-    _emit(ns, lambda: [str(value)], lambda: {**inputs, row.key: value})
+    try:
+        _emit(ns, lambda: [str(value)], lambda: {**inputs, row.key: value})
+    except ValueError:  # a qlucas coefficient longer than sys.get_int_max_str_digits()
+        raise _too_long(f"a coefficient of the {ns.command} value") from None
     return 0
 
 

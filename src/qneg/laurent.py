@@ -187,8 +187,6 @@ class LaurentPoly:
                 out += reversed(out[: len(a) // 2])
             else:
                 out = tuple(map(operator.mul, a, repeat(c)))
-        elif min(len(a), len(b)) < KRONECKER_MIN_LEN:
-            out = _schoolbook_mul(a, b)
         else:
             out = _kronecker_mul(a, b)
         return LaurentPoly(self.val + other.val, out)
@@ -284,18 +282,13 @@ class LaurentPoly:
 ZERO = LaurentPoly(0, ())
 ONE = LaurentPoly(0, (1,))
 
-# Products whose shorter factor has fewer coefficients than this use the
-# schoolbook convolution; longer ones use Kronecker substitution.  The value
-# predates word slots, which moved the balanced break-even on CPython 3.11,
-# x86-64, from near 16 to near 8 x 8; it stays until a measured change moves it.
-KRONECKER_MIN_LEN = 16
-
 # The `array` typecodes of signed machine words of 1, 2, 4 and 8 bytes.
 _WORD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _schoolbook_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The convolution of two coefficient lists, term by term."""
+    """The convolution of two coefficient lists, term by term.  No product
+    runs it: it is the reference the tests hold `_kronecker_mul` to."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:

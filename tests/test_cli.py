@@ -21,6 +21,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+SRC = str(Path(cli.__file__).resolve().parent.parent)
+
+
+def run_process(*argv, **env):
+    """`python -m qneg *argv` as a process on this source tree, with the
+    given environment variables set, stopped after 10 s."""
+    return subprocess.run(
+        [sys.executable, "-m", "qneg", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC, **env),
+        timeout=10,
+    )
+
+
 # -- golden eval examples -------------------------------------------------------
 
 
@@ -108,7 +123,7 @@ def test_table_json_round_trip(capsys):
 def test_table_into_closed_pipe_exits_zero_silently():
     # like `qneg table ... | head -1`: the reader leaves after one line of
     # about 700 kB, far more than a pipe buffers
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.Popen(
         [sys.executable, "-m", "qneg", "table", "--n", "-20..20", "--k", "-20..20"],
         stdout=subprocess.PIPE,
@@ -130,14 +145,7 @@ def test_table_into_closed_pipe_exits_zero_silently():
 def test_eval_too_large_exits_two_at_once():
     # qbinom(100000, 50000) has 2.5e9 coefficients: without the size guard
     # this process runs for hours
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qneg", "eval", "--n", "100000", "--k", "50000"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    proc = run_process("eval", "--n", "100000", "--k", "50000")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
@@ -146,15 +154,8 @@ def test_eval_too_large_exits_two_at_once():
 def test_verify_qlucas_refuses_a_huge_modulus_at_once():
     # Phi_100000000 has 4e7 + 1 coefficients: without the guard this process
     # builds them before it checks anything
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     argv = ["verify", "qlucas", "--m", "100000000", "--n", "0", "--k", "0"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "qneg", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    proc = run_process(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
@@ -186,14 +187,7 @@ def test_series_commands_refuse_a_huge_window_at_once(argv):
     # under a 1.5 GB address-space limit; (x+y)^182 holds 1,004,914
     # coefficients, and at m = 240 took 14.4 s and 292 MB; the moduli
     # 2..181 each fit but ran for 66.9 s in all
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qneg", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    proc = run_process(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
@@ -214,14 +208,7 @@ def test_series_commands_refuse_a_huge_window_at_once(argv):
 def test_a_series_window_of_one_value_takes_no_pass(argv, out):
     # the window [n, 0] = 1 fits the size guard, and its |n| passes, which
     # changed no entry, ran past 10 s
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qneg", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    proc = run_process(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
@@ -288,14 +275,7 @@ def test_sweeps_refuse_a_huge_box_at_once(argv):
     # 4,000,001 coefficients, (34, 17) only 290 but 2,333,606,220 subsets,
     # chu sums 301 products as large as [1200, 300], and the moduli
     # 2..100000 build Phi_m of about 5e9 coefficients in all
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qneg", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    proc = run_process(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
@@ -313,14 +293,7 @@ def test_lucas_and_apery_sweeps_refuse_a_huge_range_at_once(argv):
     # each ran for more than 15 s without its guard: binom(20000000,
     # 10000000) has about 6,000,000 digits, and the sums at -1..-5000 build
     # about 12.5 million terms of up to about 7,650 digits
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qneg", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    proc = run_process(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "the limit is 1,000,000" in proc.stderr
@@ -329,11 +302,8 @@ def test_lucas_and_apery_sweeps_refuse_a_huge_range_at_once(argv):
 def test_chu_with_no_cases_does_no_work():
     # k < 0 needs n, m < 0, so this selects no case; it once walked all
     # 10^10 (n, m) pairs
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     argv = ["verify", "chu", "--n", "0..100000", "--m", "0..100000", "--k", "-1"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "qneg", *argv], capture_output=True, text=True, env=env, timeout=10
-    )
+    proc = run_process(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "checked 0, passed 0\n", "")
 
 
@@ -396,10 +366,7 @@ def test_a_range_of_any_length_is_refused_at_once(capsys, argv):
 def test_a_huge_range_with_nothing_to_count_ends_at_once(argv, out, err):
     # chu walked every n for an empty range of negative m, the qlucas guard
     # summed negative moduli without end, and freshman's len() overflowed
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qneg", *argv], capture_output=True, text=True, env=env, timeout=10
-    )
+    proc = run_process(*argv)
     assert (proc.stdout, proc.stderr) == (out, err)
     assert proc.returncode == (2 if err else 0)
 
@@ -407,11 +374,8 @@ def test_a_huge_range_with_nothing_to_count_ends_at_once(argv, out, err):
 def test_qlucas_command_refuses_a_value_whose_factors_each_fit_at_once():
     # the 249,501 coefficients of [999, 499] and the 301,031 digits bounding
     # binom(1000000, 500000) each passed a guard of their own
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     argv = ["qlucas", "--n", "1000000999", "--k", "500000499", "--m", "1000"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "qneg", *argv], capture_output=True, text=True, env=env, timeout=10
-    )
+    proc = run_process(*argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
         "error: the result is too large (75,107,535,531 digits by estimate; "
@@ -561,15 +525,8 @@ def test_q1_size_bound_covers_every_value():
 def test_eval_q1_too_large_exits_two_at_once():
     # binom(10**9, 5 * 10**8) has 3e8 digits: without the size guard this
     # process runs for hours
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     argv = ["eval", "--n", "1000000000", "--k", "500000000", "--q1"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "qneg", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    proc = run_process(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "digits" in proc.stderr
@@ -680,15 +637,8 @@ def test_lucas_command_rejects_composite(capsys):
 
 def test_lucas_command_with_a_large_prime_is_quick():
     # trial division up to sqrt(p) ran past 20 s here
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
     argv = ["lucas", "--n", "-11", "--k", "-19", "--p", "1000000000000000003"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "qneg", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    proc = run_process(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "43758\n", "")
 
 
@@ -740,15 +690,7 @@ def test_apery_far_past_the_int_text_limit_exits_two_at_once(fmt):
     # then cannot be written out, so it is refused before it starts
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this Python has no int-to-text limit")
-    root = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=root, PYTHONINTMAXSTRDIGITS="4300")
-    proc = subprocess.run(
-        [sys.executable, "-m", "qneg", "apery", "--n", "200000", "--format", fmt],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    proc = run_process("apery", "--n", "200000", "--format", fmt, PYTHONINTMAXSTRDIGITS="4300")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
         "error: A(200000) has more than 4,300 digits, the most this Python "
@@ -759,15 +701,7 @@ def test_apery_far_past_the_int_text_limit_exits_two_at_once(fmt):
 def test_apery_without_an_int_text_limit_is_held_to_the_size_limit():
     # with PYTHONINTMAXSTRDIGITS=0 nothing refused A(10**9), and it ran past
     # 5 s; A(m) < 34^m bounds its digits, as in the apery suite
-    root = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=root, PYTHONINTMAXSTRDIGITS="0")
-    proc = subprocess.run(
-        [sys.executable, "-m", "qneg", "apery", "--n", "1000000000"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    proc = run_process("apery", "--n", "1000000000", PYTHONINTMAXSTRDIGITS="0")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
         "error: the result is too large (1,531,500,001 digits by estimate; "
@@ -816,6 +750,25 @@ def test_apery_with_no_int_text_limit_is_never_refused(capsys, int_text_limit):
     int_text_limit(0)
     code, out, _ = run_cli(capsys, "apery", "--n", "3000")
     assert code == 0 and out.strip() == str(apery(3000))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_qlucas_past_the_int_text_limit_says_so(capsys, int_text_limit, fmt):
+    # the one coefficient of [0, 0] * binom(20000, 10000) has 6,019 digits:
+    # the value was computed, and then CPython's own message, which names
+    # sys.set_int_max_str_digits(), was printed
+    argv = ["qlucas", "--n", "60000", "--k", "30000", "--m", "3", "--format", fmt]
+    int_text_limit(4300)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a coefficient of the qlucas value has more than 4,300 digits, "
+        "the most this Python writes out (see PYTHONINTMAXSTRDIGITS)\n"
+    )
+    int_text_limit(0)
+    code, out, err = run_cli(capsys, *argv)
+    value = out if fmt == "text" else json.loads(out)["value"]["coefficients"][0]
+    assert (code, err) == (0, "") and value.strip() == str(binom(20000, 10000))
 
 
 # -- verify ------------------------------------------------------------------------
@@ -968,7 +921,7 @@ def test_import_leaves_dataclasses_unloaded():
     # `typing` costs about 17 ms cold, which every qneg process would pay
     # for; -S keeps site hooks out of the count.  The star import loads
     # every submodule.
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    env = dict(os.environ, PYTHONPATH=SRC)
     probe = (
         "import sys, qneg.cli; from qneg import *; "
         "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"

@@ -72,6 +72,12 @@ def test_degree_and_valuation():
     assert p.coefficient(-3) == 1 and p.coefficient(0) == 0 and p.coefficient(2) == 5
 
 
+def test_coefficient_outside_the_span_is_zero():
+    p = L({-3: 1, 2: 5})
+    assert [p.coefficient(e) for e in (-4, 3, -(10**20), 10**20)] == [0, 0, 0, 0]
+    assert ZERO.coefficient(0) == 0
+
+
 # -- arithmetic -------------------------------------------------------------
 
 

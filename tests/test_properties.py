@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from qneg.congruence import q_lucas_rhs
 from qneg.laurent import (
-    KRONECKER_MIN_LEN,
     ONE,
     ZERO,
     LaurentPoly,
@@ -32,8 +31,8 @@ coefficient = st.one_of(
     st.integers(-(2**64), 2**64),
     st.integers(-(2**200), 2**200),
 )
-# Lengths on both sides of the crossover.
-coeff_list = st.lists(coefficient, min_size=1, max_size=3 * KRONECKER_MIN_LEN).filter(any)
+# Lengths from a monomial up to 48 coefficients.
+coeff_list = st.lists(coefficient, min_size=1, max_size=48).filter(any)
 laurent = st.builds(
     LaurentPoly, st.integers(-60, 60), st.lists(coefficient, max_size=300)
 )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qneg import qseries
 from qneg.laurent import ONE, ZERO, LaurentPoly, cyclotomic_poly, divides
 from qneg.qbinom import qbinom
 from qneg.qseries import (
@@ -369,6 +370,19 @@ def test_freshman_congruence_range():
 def test_freshman_congruence_rejects_small_m():
     with pytest.raises(ValueError):
         freshman_congruence(1)
+
+
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_freshman_congruence_rejects_a_boundary_coefficient_other_than_one(monkeypatch, end):
+    # a negative control: q^m is congruent to 1 modulo Phi_m but is not 1,
+    # and every interior coefficient stays that of (x+y)^m
+    def perturbed(n, direction, truncation):
+        s = power_xy(n, direction, truncation)
+        return s._replace(terms={**s.terms, 0 if end == "low" else n: ONE.shift(n)})
+
+    monkeypatch.setattr(qseries, "power_xy", perturbed)
+    for m in (2, 3, 6, 7):
+        assert not freshman_congruence(m), m
 
 
 def test_power_lift_mod_cyclotomic():

@@ -284,15 +284,16 @@ def binom(n: int, k: int) -> int:
 
 
 def _pascal_nonnegative(n: int, k: int) -> LaurentPoly:
-    # Classical triangle, filled upward from row 0.
+    # Classical rows, filled upward from row 0.  Row m holds the seed, the
+    # cells k - (n - m) <= j <= k that C(n, k) reads, and the checked corner.
     if k < 0 or k > n:
         return ZERO
-    row: list[LaurentPoly] = [ONE]
+    row = {0: ONE}
     for m in range(1, n + 1):
-        new = [ONE]  # seed C(m, 0) = 1
-        for j in range(1, m + 1):
+        new = {0: ONE}  # seed C(m, 0) = 1
+        for j in {*range(max(k - n + m, 1), min(k, m) + 1), m}:
             above = row[j] if j < m else ZERO
-            new.append(row[j - 1] + above.shift(j))
+            new[j] = row[j - 1] + above.shift(j)
         if new[m] != ONE:
             raise InvariantError("derived corner disagrees with the C(n,n)=1 seed")
         row = new
@@ -303,23 +304,20 @@ def _pascal_negative(n: int, k: int) -> LaurentPoly:
     # Negative rows, filled downward from row 0 by the inverted recursion
     #   C(m, j) = q^-j * (C(m+1, j) - C(m, j-1))      marching j upward,
     #   C(m, j) = C(m+1, j+1) - q^(j+1) * C(m, j+1)   marching j downward,
-    # anchored at the seed C(m, m) = 1 of each row.
-    lo = min(n, k, -1) - 1
-    hi = max(k, 0) + 1
-    above = {j: (ONE if j == 0 else ZERO) for j in range(lo, hi + 1)}
+    # from the seed C(m, m) = 1: up to max(k, 0), past the checked C(m, 0),
+    # and down to k + m - n, below m only when k < n.  Row 0 holds the cells
+    # that row -1 reads, so a read past them raises instead of reading zero.
+    top = max(k, 0)
+    above = {j: ONE if j == 0 else ZERO for j in range(min(k - n, 0), top + 1)}
     for m in range(-1, n - 1, -1):
         cur = {m: ONE}
-        for j in range(m + 1, hi + 1):
-            if m == -1 and j == 0:
-                # the recursion instance (n, k) = (0, 0) is excluded; the
-                # seed C(-1, 0) = 1 takes over here
-                cur[0] = ONE
-            else:
-                cur[j] = (above[j] - cur[j - 1]).shift(-j)
+        for j in range(m + 1, top + 1):
+            # the recursion fails at (0, 0); the seed C(-1, 0) = 1 takes over
+            cur[j] = ONE if (m, j) == (-1, 0) else (above[j] - cur[j - 1]).shift(-j)
         if m < -1 and cur[0] != ONE:
             # the C(n, 0) = 1 seed family is redundant but must stay consistent
             raise InvariantError("derived C(n,0) disagrees with the seed")
-        for j in range(m - 1, lo - 1, -1):
+        for j in range(m - 1, k + m - n - 1, -1):
             cur[j] = above[j + 1] - cur[j + 1].shift(j + 1)
         above = cur
     return above[k]
@@ -331,8 +329,10 @@ def qbinom_pascal(n: int, k: int) -> LaurentPoly:
     q-Pascal recursion C(n,k) = C(n-1,k-1) + q^k C(n-1,k), seeded with
     C(n,0) = C(n,n) = 1.
 
-    Nonnegative rows fill upward in n; negative rows fill downward using the
-    recursion solved for the lower row, marching k outward from the anchors.
+    Nonnegative rows fill upward in n, negative rows downward by the
+    recursion solved for the lower row.  A row holds only the cells that
+    C(n, k) reads, yet both seed checks cover every row: each classical row
+    derives its corner C(m, m), each negative row marches up past C(m, 0).
 
     >>> qbinom_pascal(4, 2)
     LaurentPoly('1 + q + 2*q^2 + q^3 + q^4')

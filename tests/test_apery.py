@@ -93,6 +93,13 @@ def test_symmetry_checks_the_sum_oracle(monkeypatch):
     assert calls == [-7]
 
 
+def test_sum_rejects_a_nonzero_term_outside_its_window(monkeypatch):
+    # binomials that never vanish put a term at k = -2, before the window
+    monkeypatch.setattr(APERY, "binom", lambda n, k: 1)
+    with pytest.raises(InvariantError, match="nonzero Apery term outside window at k=-2"):
+        _apery_sum(3)
+
+
 def test_congruences():
     assert verify_apery_congruence(5, 1, 1, "coster")  # A(5) = A(1) mod 125
     assert verify_apery_congruence(5, 1, 1, "beukers")  # A(4) = A(0) mod 125

@@ -62,6 +62,7 @@ def test_rendering():
     assert str(HybridSet({-1: 2})) == "{-1, -1 | }"
     assert str(HybridSet({-1: -1, -2: -1, -3: -1})) == "{ | -1, -2, -3}"
     assert str(HybridSet({})) == "{ | }"
+    assert repr(HybridSet({-1: 2})) == "HybridSet('{-1, -1 | }')"
 
 
 def test_standard_new_set():

@@ -10,6 +10,7 @@ from qneg import laurent
 from qneg.laurent import (
     ONE,
     ZERO,
+    InvariantError,
     LaurentPoly,
     congruent_mod,
     cyclotomic,
@@ -103,6 +104,16 @@ def test_shift():
     assert L({0: 1, 1: 1}).shift(-1) == L({-1: 1, 0: 1})
     assert ZERO.shift(5) == ZERO
     assert L({0: 1, 1: 1, 2: 2}).shift(3) == L({3: 1, 4: 1, 5: 2})
+
+
+def test_arithmetic_with_a_foreign_operand_raises_type_error():
+    p = L({0: 1, 1: 2})
+    with pytest.raises(TypeError):
+        p + 1.5
+    with pytest.raises(TypeError):
+        1.5 - p
+    with pytest.raises(TypeError):
+        p * "x"
 
 
 def test_eval_at_one():
@@ -247,6 +258,14 @@ def test_cyclotomic_rejects_bad_m():
         cyclotomic(1)
     assert cyclotomic(4).m == 4
     assert cyclotomic(4).phi == cyclotomic_poly(4)
+
+
+def test_cyclotomic_division_rejects_a_remainder(monkeypatch):
+    # with the divisions by 1 - q^d left out, Phi_6 is taken as
+    # (1 - q^6)(1 - q), whose top coefficients are a remainder
+    monkeypatch.setattr(laurent, "_divide_by_one_minus_q_power", lambda coeffs, d: None)
+    with pytest.raises(InvariantError, match="cyclotomic division left a remainder at m=6"):
+        cyclotomic_poly.__wrapped__(6)
 
 
 # -- divisibility -------------------------------------------------------------

@@ -132,6 +132,73 @@ def test_strategy_agreement_on_box():
             assert qbinom_pascal(n, k) == qbinom(n, k), (n, k)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-40, 40), st.integers(-40, 40))
+@example(40, 20)  # classical
+@example(-39, 2)  # negative n
+@example(-37, -39)  # double negative
+@example(-20, -10)  # vanishing
+def test_strategy_agreement_beyond_the_box(n, k):
+    assert qbinom_pascal.__wrapped__(n, k) == qbinom(n, k)
+
+
+@pytest.mark.parametrize(
+    "n, k, bound",
+    [(40, 2, 2_500), (40, 38, 2_500), (-39, 2, 2_500), (-37, -39, 2_500), (40, 20, 50_000)],
+)
+def test_pascal_rows_hold_only_the_cells_the_target_reads(monkeypatch, n, k, bound):
+    # the coefficients that the program's sums and differences produce; the
+    # full triangle, or a rectangle over the spans of n and k, would produce
+    # 102,637 to 112,750 at these shapes
+    expect, merge, produced = qbinom(n, k), LaurentPoly._merge, []
+
+    def counted(self, other, op):
+        out = merge(self, other, op)
+        produced.append(len(out.coeffs))
+        return out
+
+    monkeypatch.setattr(LaurentPoly, "_merge", counted)
+    value = qbinom_pascal.__wrapped__(n, k)
+    monkeypatch.undo()
+    assert value == expect
+    assert 0 < sum(produced) <= bound
+
+
+def test_pascal_corner_check_runs_on_every_classical_row(monkeypatch):
+    # the corner C(m, m) = C(m-1, m-1) + q^m * 0 is the program's only sum
+    # with a zero term; one wrong corner, in any row, raises whatever k is
+    add, n = LaurentPoly.__add__, 7
+    for k in range(n + 1):
+        for row in range(1, n + 1):
+            corners = itertools.count(1)
+
+            def corner_wrong_in_row(self, other):
+                total = add(self, other)
+                return add(total, 1) if not other.coeffs and next(corners) == row else total
+
+            monkeypatch.setattr(LaurentPoly, "__add__", corner_wrong_in_row)
+            with pytest.raises(InvariantError, match="derived corner disagrees"):
+                qbinom_pascal.__wrapped__(n, k)
+
+
+def test_pascal_seed_check_runs_on_every_negative_row(monkeypatch):
+    # C(m, 0) = q^0 * (C(m+1, 0) - C(m, -1)) is the program's only shift by
+    # 0, once in each row m <= -2; one wrong C(m, 0), in any such row, raises
+    # whatever k is
+    shift, n = LaurentPoly.shift, -7
+    for k in range(n - 2, 4):
+        for row in range(1, -n):
+            seeds = itertools.count(1)
+
+            def seed_wrong_in_row(self, e):
+                moved = shift(self, e)
+                return moved + 1 if e == 0 and next(seeds) == row else moved
+
+            monkeypatch.setattr(LaurentPoly, "shift", seed_wrong_in_row)
+            with pytest.raises(InvariantError, match=r"derived C\(n,0\) disagrees"):
+                qbinom_pascal.__wrapped__(n, k)
+
+
 def test_cache_safe_under_concurrent_fill():
     import threading
 

@@ -408,6 +408,38 @@ def _prime_factors(m: int) -> list[int]:
     return primes
 
 
+@functools.lru_cache(maxsize=4096)
+def _totient_periods(m: int) -> tuple[int, tuple[int, ...]]:
+    """phi(m) and the periods m/p, one for each prime p dividing m >= 2."""
+    primes = _prime_factors(m)
+    phi = m
+    for p in primes:
+        phi -= phi // p
+    return phi, tuple(m // p for p in primes)
+
+
+def _phi_divides_residue(r: list[int], m: int) -> bool:
+    """True if Phi_m divides the polynomial whose ascending coefficients are
+    r, with len(r) <= m; no division is done.
+
+    Phi_m is monic, so dividing by it over Z and over Q agree, and Phi_m
+    divides an r of degree below m exactly when r(zeta_m) = 0.  If r is
+    shorter than phi(m) + 1, that means r = 0.  Otherwise r, padded to m
+    slots, is multiplied in Z[q]/(q^m - 1) by E = prod over primes p | m of
+    (1 - q^(m/p)), one cyclic rotation and subtraction per p.  E vanishes at
+    zeta_d for every proper divisor d of m, since some p has d | m/p, and
+    not at zeta_m; q^m - 1 is squarefree, so E r = 0 there exactly when
+    r(zeta_m) = 0.
+    """
+    phi, periods = _totient_periods(m)
+    if len(r) <= phi:
+        return not any(r)
+    r = r + [0] * (m - len(r))
+    for t in periods:  # slot i loses slot i - t, read cyclically
+        r = list(map(operator.sub, r, r[-t:] + r[:-t]))
+    return not any(r)
+
+
 def _divide_by_one_minus_q_power(prod: list[int], i: int) -> None:
     """Divide by (1 - q^i) in place, modulo q^len(prod): the ascending
     recurrence g[j] = f[j] + g[j-i] is a running sum along each residue
@@ -477,8 +509,9 @@ def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> boo
     Phi_m divides q^m - 1, and q^-v is a unit, so a and b may each be
     multiplied by q^-v and reduced modulo q^m - 1 first.  With v the lower
     valuation of the two, that leaves a difference no longer than m or than
-    a - b, which ``divides`` tests exactly; a - b itself is never formed.
-    Both sides go through the one fold, whatever their span.
+    a - b, which ``_phi_divides_residue`` tests exactly, without division
+    (``divides`` is the reference); a - b itself is never formed.  Both
+    sides go through the one fold, whatever their span.
 
     >>> congruent_mod(LaurentPoly(-1, (1,)), LaurentPoly(2, (1,)), cyclotomic(3))
     True
@@ -488,4 +521,4 @@ def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> boo
     shift = min((x.val for x in sides), default=0)
     size = min(m, max((x.degree() + 1 - shift for x in sides), default=0))
     diff = map(operator.sub, _fold(a, m, shift, size), _fold(b, m, shift, size))
-    return divides(mod.phi, LaurentPoly(0, list(diff)))
+    return _phi_divides_residue(list(diff), m)

@@ -11,11 +11,12 @@ together with the commutative q-binomial theorem for the shifted factorial
 from __future__ import annotations
 
 import enum
+import operator
 from collections import namedtuple
 from collections.abc import Callable
 
 from . import _public
-from .laurent import ONE, ZERO, LaurentPoly, congruent_mod, cyclotomic
+from .laurent import ONE, ZERO, LaurentPoly, _phi_divides_residue
 from .qbinom import qbinom
 
 __all__ = _public(__name__)
@@ -83,24 +84,45 @@ def series_mul(a: NormalSeries, b: NormalSeries) -> NormalSeries:
     return NormalSeries(n, a.direction, kept, truncation)
 
 
+class _Residue(tuple):
+    """A Laurent polynomial modulo q^m - 1 as its m slots, slot r holding
+    the coefficients at exponents congruent to r mod m summed: the entry
+    type of a chain that is folded as it runs."""
+
+    __slots__ = ()
+
+    def __add__(self, other: _Residue) -> _Residue:
+        return _Residue(map(operator.add, self, other))
+
+    def __sub__(self, other: _Residue) -> _Residue:
+        return _Residue(map(operator.sub, self, other))
+
+    def shift(self, e: int) -> _Residue:
+        """Multiply by q^e: a rotation by e slots."""
+        e %= len(self)
+        return _Residue(self[-e:] + self[:-e]) if e else self
+
+
 def _factor_chain(
-    n: int, truncation: int, exponent: Callable[[int, int], int]
-) -> list[LaurentPoly]:
+    n: int, truncation: int, exponent: Callable[[int, int], int], one=ONE
+) -> list:
     """The window c[0], c[1], ... of a chain of |n| two-term factors
-    1 + q^s t, started from [1, 0, 0, ...] and cut to `truncation` entries,
-    or for n >= 0 to the support i <= n if that is shorter.
+    1 + q^s t, started from [one, 0, 0, ...] and cut to `truncation`
+    entries, or for n >= 0 to the support i <= n if that is shorter.  The
+    entries are `LaurentPoly` values, or `_Residue` ones from a residue
+    `one`.
 
     For n >= 0 factors j = 0..n-1 multiply: c[i] gains q^s c[i-1], with i
     descending so that c[i-1] is still the old entry.  For n < 0 factors
     j = -1, -2, ..., n divide: c[i] becomes c[i] - q^s c[i-1], with i
     ascending so that c[i-1] is already the quotient's.  The exponent is
-    s = exponent(j, i).  No factor changes c[0] = 1, so a window of that
+    s = exponent(j, i).  No factor changes c[0] = one, so a window of that
     one entry takes no pass.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     size = truncation if n < 0 else min(truncation, n + 1)
-    c = [ONE] + [ZERO] * (size - 1)
+    c = [one] + [one - one] * (size - 1)
     passes = abs(n) if size > 1 else 0
     if n >= 0:
         for j in range(passes):
@@ -111,6 +133,11 @@ def _factor_chain(
             for i in range(1, size):
                 c[i] = c[i] - c[i - 1].shift(exponent(j, i))
     return c
+
+
+def _xy_exponent(j: int, i: int) -> int:
+    """The exponent s of factor j at entry i in the chain of (x+y)^n."""
+    return j + 1 - i
 
 
 def power_xy(n: int, direction: Direction, truncation: int) -> NormalSeries:
@@ -126,7 +153,7 @@ def power_xy(n: int, direction: Direction, truncation: int) -> NormalSeries:
     >>> power_xy(-1, Direction.FROM_ZERO, 4).coefficient(3)
     LaurentPoly('-q^-6')
     """
-    window = _factor_chain(n, truncation, lambda j, i: j + 1 - i)
+    window = _factor_chain(n, truncation, _xy_exponent)
     from_zero = direction is Direction.FROM_ZERO
     terms = {i if from_zero else n - i: c for i, c in enumerate(window)}
     return NormalSeries(n, direction, terms, truncation)
@@ -181,11 +208,15 @@ def verify_chu_vandermonde(n: int, m: int, k: int) -> bool:
 
 def freshman_congruence(m: int) -> bool:
     """Check (x+y)^m = x^m + y^m modulo Phi_m(q): the boundary coefficients
-    of the expansion equal 1 and every interior one is divisible by Phi_m."""
+    of the expansion equal 1 and every interior one is divisible by Phi_m.
+    The boundary ones are one-value windows of the two expansions; the
+    interior ones are residues modulo q^m - 1 from the chain of `power_xy`."""
     if m < 2:
         raise ValueError(f"freshman congruence requires m >= 2, got {m}")
-    s = power_xy(m, Direction.FROM_ZERO, m + 1)
-    mod = cyclotomic(m)
-    if s.coefficient(0) != ONE or s.coefficient(m) != ONE:
+    low = power_xy(m, Direction.FROM_ZERO, 1).coefficient(0)
+    high = power_xy(m, Direction.FROM_INFINITY, 1).coefficient(m)
+    if low != ONE or high != ONE:
         return False
-    return all(congruent_mod(s.coefficient(k), ZERO, mod) for k in range(1, m))
+    unit = _Residue((1,) + (0,) * (m - 1))
+    chain = _factor_chain(m, m + 1, _xy_exponent, unit)
+    return all(_phi_divides_residue(list(c), m) for c in chain[1:m])

@@ -1,7 +1,10 @@
 """Digit expansions and Lucas congruences, integer and q-analog."""
 
+import random
+
 import pytest
 
+from qneg import cli
 from qneg.congruence import (
     is_prime,
     lucas_product,
@@ -263,6 +266,50 @@ def test_folded_congruence_divides_no_more_than_the_difference(monkeypatch):
             if (a, b) in short:
                 assert len(folds) == 2
                 assert all(len(f) <= len((a - b).coeffs) for f in folds)
+
+
+def _seeded_multiples(m, count):
+    """`count` seeded residues modulo q^m - 1 of Phi_m times a polynomial
+    of degree below m."""
+    rng = random.Random(m)
+    phi = cyclotomic(m).phi
+    for _ in range(count):
+        g = LaurentPoly(0, [rng.randint(-9, 9) for _ in range(rng.randint(1, m))])
+        yield laurent._fold(phi * g, m, 0, m)
+
+
+@pytest.mark.parametrize("m", [*range(2, 131), 210, 330, 1155, 2310])
+def test_annihilator_agrees_with_long_division(m):
+    # m runs over every prime power up to 128 and over omega(m) up to 5;
+    # each multiple plus q^j, for every slot j, is a negative control
+    phi = cyclotomic(m).phi.coeffs
+    # long division of a residue of m = 1155 or 2310 slots takes 0.1 to 0.3 s,
+    # so there it checks seeded slots and not all of them
+    large = m > 330
+    checked = random.Random(-m).sample(range(m), 4) if large else range(m)
+    for r in _seeded_multiples(m, 1 if large else 2):
+        assert laurent._phi_divides_residue(list(r), m)
+        assert not any(laurent._divmod_monic(r, phi)[1])
+        for j in range(m):
+            control = list(r)
+            control[j] += 1
+            assert not laurent._phi_divides_residue(control, m), j
+            if j in checked:
+                assert any(laurent._divmod_monic(control, phi)[1]), j
+
+
+def test_congruent_mod_decides_qlucas_without_long_division(monkeypatch, capsys):
+    def refuse(num, den):
+        raise AssertionError("long division called")
+
+    monkeypatch.setattr(laurent, "_divmod_monic", refuse)
+    assert cli.main(["verify", "qlucas", "--m", "2..12", "--n", "-12..12", "--k", "-12..12"]) == 0
+    assert capsys.readouterr().out == "checked 6875, passed 6875\n"
+    for m in (6, 12, 30):
+        mod = cyclotomic(m)
+        lhs, rhs = qbinom(-40, 17), q_lucas_rhs(-40, 17, m)
+        assert congruent_mod(lhs, rhs, mod)
+        assert not congruent_mod(lhs, rhs + LaurentPoly.q_power(m + 5), mod)
 
 
 def test_q_lucas_rejects_small_modulus():

@@ -51,3 +51,15 @@ def test_evaluation_routes_share_no_code_path():
     for function in pascal:
         shared = _names(function.__code__) & {"region", "qbinom", "binom", "_classical_coeffs"}
         assert not shared, (function.__name__, shared)
+
+
+def test_folded_chain_reads_no_evaluation_route():
+    # freshman's dream checks the closed forms only while its chain, exact
+    # or on residues modulo q^m - 1, computes nothing through them
+    series = importlib.import_module("qneg.qseries")
+    chain = [series._factor_chain, series._xy_exponent, series.freshman_congruence]
+    chain += [f for f in vars(series._Residue).values() if hasattr(f, "__code__")]
+    assert len(chain) == 6
+    for function in chain:
+        shared = _names(function.__code__) & {"region", "qbinom", "binom", "_classical_coeffs"}
+        assert not shared, (function.__name__, shared)

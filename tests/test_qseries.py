@@ -1,12 +1,13 @@
 """Expansions in q-commuting variables and the associated theorems."""
 
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qneg import qseries
+from qneg import laurent, qseries
 from qneg.laurent import ONE, ZERO, LaurentPoly, cyclotomic_poly, divides
 from qneg.qbinom import qbinom
 from qneg.qseries import (
@@ -383,6 +384,61 @@ def test_freshman_congruence_rejects_a_boundary_coefficient_other_than_one(monke
     monkeypatch.setattr(qseries, "power_xy", perturbed)
     for m in (2, 3, 6, 7):
         assert not freshman_congruence(m), m
+
+
+def _recorded_chains(monkeypatch, perturb=None):
+    """Record each window that `freshman_congruence` takes from the factor
+    chain, after `perturb` has changed it."""
+    chains, factor_chain = [], qseries._factor_chain
+
+    def recording(*args):
+        chains.append(factor_chain(*args))
+        if perturb:
+            perturb(chains[-1])
+        return chains[-1]
+
+    monkeypatch.setattr(qseries, "_factor_chain", recording)
+    return chains
+
+
+def test_freshman_residue_chain_is_the_fold_of_the_exact_chain(monkeypatch):
+    chains = _recorded_chains(monkeypatch)
+    for m in range(2, 41):
+        exact = power_xy(m, FZ, m + 1)
+        chains.clear()
+        assert freshman_congruence(m), m
+        [residues] = [c for c in chains if len(c) == m + 1]
+        for k in range(1, m):
+            assert list(residues[k]) == laurent._fold(exact.coefficient(k), m, 0, m), (m, k)
+
+
+@pytest.mark.parametrize("n", range(-12, 13))
+def test_residue_chain_is_the_fold_of_the_exact_chain_at_any_n(n):
+    # at n = m the chain gives the same residues with every shift inverted,
+    # so only other n catch a rotation the wrong way; n < 0 runs differences
+    for m in range(2, 8):
+        unit = qseries._Residue((1,) + (0,) * (m - 1))
+        for exponent in (qseries._xy_exponent, lambda j, i: j):
+            window = qseries._factor_chain(n, 9, exponent, unit)
+            exact = qseries._factor_chain(n, 9, exponent)
+            assert [list(r) for r in window] == [laurent._fold(c, m, 0, m) for c in exact]
+
+
+@pytest.mark.parametrize("m", [2, 3, 6, 7, 12, 30])
+def test_freshman_congruence_rejects_one_perturbed_interior_slot(monkeypatch, m):
+    # a negative control: q^j is a unit modulo Phi_m, so adding it to one
+    # interior residue leaves that entry no multiple of Phi_m
+    rng = random.Random(m)
+    k, j = rng.randrange(1, m), rng.randrange(m)
+
+    def perturb(chain):
+        if len(chain) == m + 1:
+            slots = list(chain[k])
+            slots[j] += 1
+            chain[k] = type(chain[k])(slots)
+
+    _recorded_chains(monkeypatch, perturb)
+    assert not freshman_congruence(m), (k, j)
 
 
 def test_power_lift_mod_cyclotomic():

@@ -386,11 +386,15 @@ def divides(d: LaurentPoly, a: LaurentPoly) -> bool:
     return not any(rem)
 
 
-class CyclotomicModulus(namedtuple("CyclotomicModulus", ["m", "phi"])):
-    """The congruence context for q-Lucas: an integer m >= 2 together with
-    the m-th cyclotomic polynomial Phi_m(q)."""
+class CyclotomicModulus(namedtuple("CyclotomicModulus", ["m"])):
+    """The congruence context for q-Lucas: an integer m >= 2.  Its m-th
+    cyclotomic polynomial Phi_m(q), `phi`, is built only when read."""
 
     __slots__ = ()
+
+    @property
+    def phi(self) -> LaurentPoly:
+        return cyclotomic_poly(self.m)
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -408,16 +412,6 @@ def _prime_factors(m: int) -> list[int]:
     return primes
 
 
-@functools.lru_cache(maxsize=4096)
-def _totient_periods(m: int) -> tuple[int, tuple[int, ...]]:
-    """phi(m) and the periods m/p, one for each prime p dividing m >= 2."""
-    primes = _prime_factors(m)
-    phi = m
-    for p in primes:
-        phi -= phi // p
-    return phi, tuple(m // p for p in primes)
-
-
 def _phi_divides_residue(r: list[int], m: int) -> bool:
     """True if Phi_m divides the polynomial whose ascending coefficients are
     r, with len(r) <= m; no division is done.
@@ -431,11 +425,14 @@ def _phi_divides_residue(r: list[int], m: int) -> bool:
     not at zeta_m; q^m - 1 is squarefree, so E r = 0 there exactly when
     r(zeta_m) = 0.
     """
-    phi, periods = _totient_periods(m)
+    primes = _prime_factors(m)
+    phi = m
+    for p in primes:
+        phi -= phi // p
     if len(r) <= phi:
         return not any(r)
     r = r + [0] * (m - len(r))
-    for t in periods:  # slot i loses slot i - t, read cyclically
+    for t in (m // p for p in primes):  # slot i loses slot i - t, read cyclically
         r = list(map(operator.sub, r, r[-t:] + r[:-t]))
     return not any(r)
 
@@ -488,7 +485,7 @@ def cyclotomic(m: int) -> CyclotomicModulus:
     """The modulus object for Phi_m; only m >= 2 is a valid modulus."""
     if m < 2:
         raise ValueError(f"cyclotomic modulus requires m >= 2, got {m}")
-    return CyclotomicModulus(m, cyclotomic_poly(m))
+    return CyclotomicModulus(m)
 
 
 def _fold(a: LaurentPoly, m: int, shift: int, size: int) -> list[int]:
@@ -509,9 +506,11 @@ def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> boo
     Phi_m divides q^m - 1, and q^-v is a unit, so a and b may each be
     multiplied by q^-v and reduced modulo q^m - 1 first.  With v the lower
     valuation of the two, that leaves a difference no longer than m or than
-    a - b, which ``_phi_divides_residue`` tests exactly, without division
-    (``divides`` is the reference); a - b itself is never formed.  Both
-    sides go through the one fold, whatever their span.
+    a - b, which ``_phi_divides_residue`` tests exactly, without division;
+    a - b itself is never formed.  Both sides go through the one fold,
+    whatever their span.  A rejection, which would report a counterexample,
+    is confirmed by ``divides``, the reference: only then is Phi_m built and
+    divided into the residue, and a disagreement raises InvariantError.
 
     >>> congruent_mod(LaurentPoly(-1, (1,)), LaurentPoly(2, (1,)), cyclotomic(3))
     True
@@ -520,5 +519,9 @@ def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> boo
     sides = [x for x in (a, b) if x.coeffs]
     shift = min((x.val for x in sides), default=0)
     size = min(m, max((x.degree() + 1 - shift for x in sides), default=0))
-    diff = map(operator.sub, _fold(a, m, shift, size), _fold(b, m, shift, size))
-    return _phi_divides_residue(list(diff), m)
+    diff = list(map(operator.sub, _fold(a, m, shift, size), _fold(b, m, shift, size)))
+    if _phi_divides_residue(diff, m):
+        return True
+    if divides(mod.phi, LaurentPoly(0, diff)):
+        raise InvariantError(f"annihilator and long division disagree modulo Phi_{m}")
+    return False

@@ -209,8 +209,12 @@ def verify_chu_vandermonde(n: int, m: int, k: int) -> bool:
 def freshman_congruence(m: int) -> bool:
     """Check (x+y)^m = x^m + y^m modulo Phi_m(q): the boundary coefficients
     of the expansion equal 1 and every interior one is divisible by Phi_m.
-    The boundary ones are one-value windows of the two expansions; the
-    interior ones are residues modulo q^m - 1 from the chain of `power_xy`."""
+    The interior ones are residues modulo q^m - 1 from the chain of
+    `power_xy`.  The boundary ones are read exactly from one-value windows of
+    the two expansions, which equal 1 by construction (no factor changes a
+    chain's first entry); the residue chain's last entry, the product of its
+    diagonal, must also be the unit residue.  That last check sees a wrong
+    diagonal exponent only modulo m, where an exact c[m] would see any."""
     if m < 2:
         raise ValueError(f"freshman congruence requires m >= 2, got {m}")
     low = power_xy(m, Direction.FROM_ZERO, 1).coefficient(0)
@@ -219,4 +223,4 @@ def freshman_congruence(m: int) -> bool:
         return False
     unit = _Residue((1,) + (0,) * (m - 1))
     chain = _factor_chain(m, m + 1, _xy_exponent, unit)
-    return all(_phi_divides_residue(list(c), m) for c in chain[1:m])
+    return chain[m] == unit and all(_phi_divides_residue(list(c), m) for c in chain[1:m])

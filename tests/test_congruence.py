@@ -306,10 +306,34 @@ def test_congruent_mod_decides_qlucas_without_long_division(monkeypatch, capsys)
     assert cli.main(["verify", "qlucas", "--m", "2..12", "--n", "-12..12", "--k", "-12..12"]) == 0
     assert capsys.readouterr().out == "checked 6875, passed 6875\n"
     for m in (6, 12, 30):
-        mod = cyclotomic(m)
+        assert congruent_mod(qbinom(-40, 17), q_lucas_rhs(-40, 17, m), cyclotomic(m))
+
+
+def test_congruent_mod_confirms_each_rejection_by_long_division(monkeypatch):
+    lengths, divmod_monic = [], laurent._divmod_monic
+
+    def recording_divmod(num, den):
+        lengths.append(len(num))
+        return divmod_monic(num, den)
+
+    monkeypatch.setattr(laurent, "_divmod_monic", recording_divmod)
+    for m in (6, 12, 30):
         lhs, rhs = qbinom(-40, 17), q_lucas_rhs(-40, 17, m)
-        assert congruent_mod(lhs, rhs, mod)
-        assert not congruent_mod(lhs, rhs + LaurentPoly.q_power(m + 5), mod)
+        assert not congruent_mod(lhs, rhs + LaurentPoly.q_power(m + 5), cyclotomic(m))
+        assert lengths.pop() <= m and not lengths
+    # an annihilator that rejected a true congruence would be caught
+    monkeypatch.setattr(laurent, "_phi_divides_residue", lambda r, m: False)
+    with pytest.raises(laurent.InvariantError):
+        congruent_mod(qbinom(-40, 17), q_lucas_rhs(-40, 17, 6), cyclotomic(6))
+
+
+def test_q_lucas_builds_no_cyclotomic_polynomial(monkeypatch):
+    def refuse(m):
+        raise AssertionError("Phi_m built")
+
+    monkeypatch.setattr(laurent, "cyclotomic_poly", refuse)
+    assert cyclotomic(30030).m == 30030
+    assert verify_q_lucas(5, 2, 30030) and verify_q_lucas(-40, 17, 30)
 
 
 def test_q_lucas_rejects_small_modulus():

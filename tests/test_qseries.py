@@ -441,6 +441,18 @@ def test_freshman_congruence_rejects_one_perturbed_interior_slot(monkeypatch, m)
     assert not freshman_congruence(m), (k, j)
 
 
+@pytest.mark.parametrize("m", [2, 3, 6, 7, 12, 30])
+def test_freshman_congruence_rejects_a_rotated_last_residue(monkeypatch, m):
+    # a negative control: the last entry becomes q, not 1 modulo q^m - 1,
+    # while every interior residue stays that of (x+y)^m
+    def perturb(chain):
+        if len(chain) == m + 1:
+            chain[m] = chain[m].shift(1)
+
+    _recorded_chains(monkeypatch, perturb)
+    assert not freshman_congruence(m)
+
+
 def test_power_lift_mod_cyclotomic():
     # (x+y)^(nm) and the n-th power of (x^m + y^m) agree coefficient-wise
     # modulo Phi_m; the latter expands with q replaced by q^(m^2) at k = jm.

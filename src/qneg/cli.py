@@ -250,7 +250,7 @@ def _suite_qlucas(ns) -> Iterator[Case]:
     moduli = _span(ns.m, 2, 9)
     if moduli[0] < 2:
         raise ValueError(f"modulus must be at least 2, got {moduli[0]}")
-    # each modulus builds Phi_m, which has at most m coefficients
+    # each case folds into at most m slots, so a modulus counts m
     _check_total(moduli, "coefficients")
     box = list(_box(ns, 15))
     for m in moduli:

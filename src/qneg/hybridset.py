@@ -19,7 +19,8 @@ __all__ = _public(__name__)
 
 
 class HybridSet:
-    """A finite map from integer elements to nonzero integer multiplicities.
+    """A finite map from integer elements to nonzero integer multiplicities,
+    built from a mapping whose zero entries are dropped.
 
     Rendered in the bar notation: positive-multiplicity elements (repeated
     per multiplicity) before the bar, negative after, sorted descending.
@@ -33,14 +34,9 @@ class HybridSet:
     __slots__ = ("multiplicities",)
     multiplicities: tuple[tuple[int, int], ...]
 
-    def __init__(self, multiplicities: Mapping[int, int] | Iterable[tuple[int, int]]):
-        items = (
-            multiplicities.items()
-            if isinstance(multiplicities, Mapping)
-            else multiplicities
-        )
+    def __init__(self, multiplicities: Mapping[int, int]):
         self.multiplicities = tuple(
-            sorted(((e, m) for e, m in items if m != 0), reverse=True)
+            sorted(((e, m) for e, m in multiplicities.items() if m != 0), reverse=True)
         )
 
     def __eq__(self, other: object) -> bool:

@@ -55,10 +55,10 @@ def _classical_coeffs(
 ) -> list[int]:
     """Ascending coefficients of the classical Gaussian polynomial, 0 <= k <= n.
 
-    With k <= n - k and m = n - k, [n, k] = [m+k, k] is walked to from
-    [m, 0] = 1 one step at a time.  A step moves one coordinate of [x+y, y]
-    by one, the other held, and multiplies by (1 - q^u) and divides by
-    (1 - q^s):
+    With k <= n - k and m = n - k, [n, k] = [m+k, k] is walked to from a
+    start, [m, 0] = 1 by default, one step at a time.  A step moves one
+    coordinate of [x+y, y] by one, the other held, and multiplies by
+    (1 - q^u) and divides by (1 - q^s):
 
         x or y up to c:        (u, s) = (x + y + 1, c)
         x or y down from c:    (u, s) = (c, x + y)
@@ -84,31 +84,32 @@ def _classical_coeffs(
     The result is checked against its closed-form values at q = 1 and
     q = -1 as well, read from its half.
 
-    A known [a+j, j] with a >= 1, on the diagonal a at depth j, may be
-    passed as start, and a as diagonal (m by default); its leading
-    a*j // 2 + 1 coefficients seed the window.  The walk moves a to m and
-    j to k, in whichever order adds fewer coefficients (`_walk_costs`).  A
-    start past the target is walked back.  Each step keeps its palindrome
-    check.  A start that is not a palindrome of degree a*j raises
-    InvariantError.
+    A known [a+j, j], on the diagonal a at depth j, may be passed as start,
+    and a as diagonal (m by default); the diagonal 0 admits only [0, 0] = 1.
+    Its leading a*j // 2 + 1 coefficients seed the window.  The walk moves
+    a to m and j to k, in whichever order adds fewer coefficients
+    (`_walk_costs`); from [m, 0] the first leg of the a-first order is
+    empty.  A start past the target is walked back.  Each step keeps its
+    palindrome check.  A start that is not a palindrome of degree a*j, or
+    one on a negative diagonal, raises InvariantError.
     """
     k = min(k, n - k)
     m = n - k
-    # [m, 0] = 1 and its degree, and the walk up the diagonal m from depth 0
-    coeffs, prev, legs = [1], 0, ((m, 0, k),)
-    if start is not None and k:
-        a = m if diagonal is None else diagonal
-        seed = start.coeffs
-        j = (len(seed) - 1) // a if a > 0 else -1
-        if start.val or j < 0 or j * a != len(seed) - 1 or seed != seed[::-1]:
-            raise InvariantError(f"start is not a palindrome [{a} + j, j] on a diagonal a >= 1")
-        coeffs, prev = list(seed[: j * a // 2 + 1]), j * a
-        # (held coordinate, moving coordinate, its end) for each leg
-        a_first, j_first = _walk_costs(m, k, a, j)
-        if a_first <= j_first:
-            legs = ((j, a, m), (m, j, k))  # a first
-        else:
-            legs = ((a, j, k), (k, a, m))  # j first
+    start = ONE if start is None else start  # [a, 0] = 1
+    a = m if diagonal is None else diagonal
+    seed = start.coeffs
+    # on the diagonal 0 only [0, 0] = 1, whose degree 0 fixes no depth
+    j = (len(seed) - 1) // a if a else 0
+    if a < 0 or start.val or j < 0 or j * a != len(seed) - 1 or seed != seed[::-1]:
+        raise InvariantError(f"start is not a palindrome [{a} + j, j] on a diagonal a >= 0")
+    coeffs, prev = list(seed[: j * a // 2 + 1]), j * a
+    # (held coordinate, moving coordinate, its end) for each leg; from [m, 0]
+    # the costs tie, and the a-first order's first leg is empty
+    a_first, j_first = _walk_costs(m, k, a, j)
+    if a_first <= j_first:
+        legs = ((j, a, m), (m, j, k))  # a first
+    else:
+        legs = ((a, j, k), (k, a, m))  # j first
     for other, c, end in legs:
         up = end > c
         for c in range(c + 1, end + 1) if up else range(c - 1, end - 1, -1):

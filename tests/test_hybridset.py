@@ -48,7 +48,7 @@ def test_equality_and_hash_follow_the_multiplicities():
         assert hash(a) == hash((a.multiplicities,))
         assert a == HybridSet(dict(a.multiplicities))
         assert hash(a) == hash(HybridSet(dict(a.multiplicities)))
-        assert a != a.multiplicities and a != SubSet(a.multiplicities)
+        assert a != a.multiplicities and a != SubSet(dict(a.multiplicities))
     assert len(set(k_subsets(-3, 2)) | set(k_subsets(-3, 2))) == subset_count(-3, 2)
 
 

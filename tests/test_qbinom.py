@@ -543,6 +543,9 @@ def test_kernel_rejects_a_start_off_the_diagonal():
         _classical_coeffs(20, 10, start=qbinom(13, 4))  # diagonal 9, not 10
     with pytest.raises(InvariantError, match="not a palindrome"):
         _classical_coeffs(20, 5, start=qbinom(21, 5))  # diagonal 16, not 15
+    for start, diagonal in [(qbinom(13, 4), -9), (ONE, -1)]:  # a negative diagonal
+        with pytest.raises(InvariantError, match="not a palindrome"):
+            _classical_coeffs(20, 10, start=start, diagonal=diagonal)
 
 
 def test_diagonal_index_retains_nothing_after_cache_clear():

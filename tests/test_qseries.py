@@ -373,19 +373,6 @@ def test_freshman_congruence_rejects_small_m():
         freshman_congruence(1)
 
 
-@pytest.mark.parametrize("end", ["low", "high"])
-def test_freshman_congruence_rejects_a_boundary_coefficient_other_than_one(monkeypatch, end):
-    # a negative control: q^m is congruent to 1 modulo Phi_m but is not 1,
-    # and every interior coefficient stays that of (x+y)^m
-    def perturbed(n, direction, truncation):
-        s = power_xy(n, direction, truncation)
-        return s._replace(terms={**s.terms, 0 if end == "low" else n: ONE.shift(n)})
-
-    monkeypatch.setattr(qseries, "power_xy", perturbed)
-    for m in (2, 3, 6, 7):
-        assert not freshman_congruence(m), m
-
-
 def _recorded_chains(monkeypatch, perturb=None):
     """Record each window that `freshman_congruence` takes from the factor
     chain, after `perturb` has changed it."""
@@ -441,16 +428,31 @@ def test_freshman_congruence_rejects_one_perturbed_interior_slot(monkeypatch, m)
     assert not freshman_congruence(m), (k, j)
 
 
+def test_freshman_congruence_reads_one_residue_chain_and_no_window(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("freshman's dream read a power_xy window")
+
+    monkeypatch.setattr(qseries, "power_xy", refuse)
+    chains = _recorded_chains(monkeypatch)
+    for m in range(2, 13):
+        chains.clear()
+        assert freshman_congruence(m), m
+        assert [len(c) for c in chains] == [m + 1], m
+
+
 @pytest.mark.parametrize("m", [2, 3, 6, 7, 12, 30])
 def test_freshman_congruence_rejects_a_rotated_last_residue(monkeypatch, m):
-    # a negative control: the last entry becomes q, not 1 modulo q^m - 1,
-    # while every interior residue stays that of (x+y)^m
-    def perturb(chain):
-        if len(chain) == m + 1:
-            chain[m] = chain[m].shift(1)
+    # a negative control: the first or the last entry becomes q, not 1
+    # modulo q^m - 1, while every interior residue stays that of (x+y)^m
+    for end in (0, m):
 
-    _recorded_chains(monkeypatch, perturb)
-    assert not freshman_congruence(m)
+        def perturb(chain, end=end):
+            if len(chain) == m + 1:
+                chain[end] = chain[end].shift(1)
+
+        with monkeypatch.context() as patch:
+            _recorded_chains(patch, perturb)
+            assert not freshman_congruence(m), end
 
 
 def test_power_lift_mod_cyclotomic():

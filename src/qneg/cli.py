@@ -8,13 +8,14 @@ fixtures.  Exit status is 0 on success or all-pass, 1 on verification
 failure, 2 on usage errors.  A reader that closes stdout early (a broken
 pipe) also gives 0, silently.
 
-Each suite and handler imports the submodules it uses when it runs, so a
-process loads only those.
+Each suite and handler imports the submodules it uses after its guards, so
+a process loads only those, and a refused request none.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections import namedtuple
@@ -91,10 +92,11 @@ def _box(ns, half: int) -> Iterator[tuple[int, int]]:
 
 def _suite_pascal(ns) -> Iterator[Case]:
     # q-Pascal, its alternate form, and the absorption identity.
+    box = _box(ns, 12)
     from .laurent import ONE, LaurentPoly
     from .qbinom import qbinom
 
-    for n, k in _box(ns, 12):
+    for n, k in box:
         case = f"pascal n={n} k={k}"
         if (n, k) == (0, 0):
             yield case, "skip"
@@ -109,34 +111,38 @@ def _suite_pascal(ns) -> Iterator[Case]:
 
 
 def _suite_symmetry(ns) -> Iterator[Case]:
+    box = _box(ns, 12)
     from .qbinom import qbinom
 
-    for n, k in _box(ns, 12):
+    for n, k in box:
         yield f"symmetry n={n} k={k}", qbinom(n, k) == qbinom(n, n - k)
 
 
 def _suite_reflection(ns) -> Iterator[Case]:
     # All six reflection/symmetry forms must reproduce the coefficient.
+    box = _box(ns, 12)
     from .qbinom import qbinom, six_forms
 
-    for n, k in _box(ns, 12):
+    for n, k in box:
         lhs = qbinom(n, k)
         ok = all(pre * qbinom(n2, k2) == lhs for pre, (n2, k2) in six_forms(n, k))
         yield f"reflection n={n} k={k}", ok
 
 
 def _suite_qinv(ns) -> Iterator[Case]:
+    box = _box(ns, 12)
     from .qbinom import qbinom
 
-    for n, k in _box(ns, 12):
+    for n, k in box:
         v = qbinom(n, k)
         yield f"qinv n={n} k={k}", v == v.substitute_qinv().shift(k * (n - k))
 
 
 def _suite_degrees(ns) -> Iterator[Case]:
+    box = _box(ns, 12)
     from .qbinom import degree_profile, qbinom
 
-    for n, k in _box(ns, 12):
+    for n, k in box:
         v = qbinom(n, k)
         prof = degree_profile(n, k)
         if v.is_zero():
@@ -147,12 +153,13 @@ def _suite_degrees(ns) -> Iterator[Case]:
 
 
 def _suite_subsets(ns) -> Iterator[Case]:
+    box = list(_box(ns, 7))
+    # each of the |binom(n, k)| = comb(top, j) subsets is enumerated
+    pairs = (_classical_pair(n, k) for n, k in box)
+    _check_total((math.comb(t, j) if 0 <= j <= t else 0 for t, j in pairs), "subsets")
     from .hybridset import qbinom_via_subsets, subset_count
     from .qbinom import binom, qbinom, qbinom_pascal
 
-    box = list(_box(ns, 7))
-    # each of the |binom(n, k)| subsets is enumerated
-    _check_total((abs(binom(n, k)) for n, k in box), "subsets")
     for n, k in box:
         ok = qbinom_via_subsets(n, k) == qbinom(n, k)
         ok = ok and subset_count(n, k) == abs(binom(n, k))
@@ -161,8 +168,6 @@ def _suite_subsets(ns) -> Iterator[Case]:
 
 
 def _suite_chu(ns) -> Iterator[Case]:
-    from .qseries import verify_chu_vandermonde
-
     nspan, mspan, kspan = _span(ns.n, -5, 5), _span(ns.m, -5, 5), _span(ns.k, -6, 6)
 
     def triples() -> Iterator[tuple[int, int, int]]:
@@ -180,6 +185,8 @@ def _suite_chu(ns) -> Iterator[Case]:
     # the sum has up to |k| + 1 terms, each counted at the size of [n + m, k]
     sizes = ((abs(k) + 1) * _value_size(n + m, k, False) for n, m, k in triples())
     _check_total(sizes, "coefficients")
+    from .qseries import verify_chu_vandermonde
+
     for n, m, k in triples():
         yield f"chu n={n} m={m} k={k}", verify_chu_vandermonde(n, m, k)
 
@@ -201,10 +208,10 @@ def _series(n: int, mode: str, trunc: int) -> list[tuple]:
 
 def _suite_qbt(ns) -> Iterator[Case]:
     # Commutative q-binomial theorem for the shifted factorial.
-    from .qbinom import qbinom
-
     n_values = _span(ns.n, -5, 5)
     _check_size(n_values, range(ns.trunc), False)
+    from .qbinom import qbinom
+
     for n in n_values:
         for k, c in _series(n, "pochhammer", ns.trunc):
             yield f"qbt n={n} k={k}", c == qbinom(n, k).shift(k * (k - 1) // 2)
@@ -212,12 +219,12 @@ def _suite_qbt(ns) -> Iterator[Case]:
 
 def _suite_ncqbt(ns) -> Iterator[Case]:
     # Noncommutative binomial theorem, both expansion directions.
-    from .qbinom import qbinom
-
     n_values = _span(ns.n, -6, 6)
     # qbinom(n, k) = qbinom(n, n - k): the window from infinity holds the
     # values of the window from zero
     _check_size(n_values, range(ns.trunc), False, copies=2)
+    from .qbinom import qbinom
+
     for n in n_values:
         for side, mode in zip(("zero", "inf"), EXPAND_MODES):
             for k, c in _series(n, mode, ns.trunc):
@@ -225,9 +232,6 @@ def _suite_ncqbt(ns) -> Iterator[Case]:
 
 
 def _suite_lucas(ns) -> Iterator[Case]:
-    from .congruence import is_prime, lucas_product, verify_lucas
-    from .qbinom import binom
-
     p_values, n_values, k_values = _span(ns.p, 2, 11), _span(ns.n, -50, 50), _span(ns.k, -50, 50)
     # each case counts one, and the largest binom(n, k) that a case builds,
     # below 2^(|n| + |k|) on every region, counts its digits
@@ -235,6 +239,9 @@ def _suite_lucas(ns) -> Iterator[Case]:
     cases = (p_values.stop - p_values.start) * (n_values.stop - n_values.start)
     cases *= k_values.stop - k_values.start
     _check_total([cases, bits * 30103 // 100000 + 1], "digits")
+    from .congruence import is_prime, lucas_product, verify_lucas
+    from .qbinom import binom
+
     primes = [p for p in p_values if is_prime(p)]
     for p in primes:
         for n in n_values:
@@ -245,24 +252,24 @@ def _suite_lucas(ns) -> Iterator[Case]:
 
 
 def _suite_qlucas(ns) -> Iterator[Case]:
-    from .congruence import verify_q_lucas
-
     moduli = _span(ns.m, 2, 9)
     if moduli[0] < 2:
         raise ValueError(f"modulus must be at least 2, got {moduli[0]}")
     # each case folds into at most m slots, so a modulus counts m
     _check_total(moduli, "coefficients")
     box = list(_box(ns, 15))
+    from .congruence import verify_q_lucas
+
     for m in moduli:
         for n, k in box:
             yield f"qlucas m={m} n={n} k={k}", verify_q_lucas(n, k, m)
 
 
 def _suite_freshman(ns) -> Iterator[Case]:
-    from .qseries import freshman_congruence
-
     moduli = _span(ns.m, 2, 12)
     _check_size(moduli, range(moduli[-1] + 1), False)
+    from .qseries import freshman_congruence
+
     for m in moduli:
         yield f"freshman m={m}", freshman_congruence(m)
 
@@ -286,11 +293,11 @@ def _apery_digits(m: int) -> int:
 
 
 def _suite_apery(ns) -> Iterator[Case]:
-    from .apery import verify_apery_congruence, verify_apery_symmetry
-
     n_values = _span(ns.n, 0, 25)
     # the sum at -n has at most |n| + 1 terms, each at most A(|n|) or A(|n| - 1)
     _check_total(((abs(n) + 1) * _apery_digits(abs(n)) for n in n_values), "digits")
+    from .apery import verify_apery_congruence, verify_apery_symmetry
+
     for n in n_values:
         yield f"apery symmetry n={n}", verify_apery_symmetry(n)
     for p, r, m, variant in APERY_CONGRUENCE_CASES:
@@ -332,13 +339,17 @@ def _emit(ns, lines: Callable[[], Iterable[str]], body: Callable[[], dict]) -> N
             print(line)
 
 
+def _classical_pair(n: int, k: int) -> tuple[int, int]:
+    """(top, j): qbinom(n, k) is a sign and a power of q times the classical
+    [top, j], of j(top - j) + 1 coefficients and comb(top, j) at q = 1, when
+    0 <= j <= top, by the reflections, and zero otherwise."""
+    return (n, k) if n >= 0 else (k - n - 1, k) if k >= 0 else (-k - 1, -n - 1)
+
+
 def _value_size(n: int, k: int, q1: bool) -> int:
     """The coefficients of qbinom(n, k), or with q1 an upper bound on the
-    decimal digits of binom(n, k); a zero counts as one.  The reflections put
-    a nonzero qbinom(n, k) at a sign and a power of q times the classical
-    [top, j], which has j(top - j) + 1 coefficients and comb(top, j) as its
-    value at q = 1."""
-    top, j = (n, k) if n >= 0 else (k - n - 1, k) if k >= 0 else (-k - 1, -n - 1)
+    decimal digits of binom(n, k); a zero counts as one."""
+    top, j = _classical_pair(n, k)
     if not 0 <= j <= top:
         return 1
     if not q1:
@@ -410,8 +421,6 @@ def _lucas(ns) -> int:
 
 
 def _qlucas(ns):
-    from .congruence import q_lucas_rhs
-
     if ns.m < 2:
         raise ValueError(f"modulus must be at least 2, got {ns.m}")
     # q_lucas_rhs multiplies qbinom(n0, k0) by the integer binom(n1, k1), so
@@ -419,12 +428,12 @@ def _qlucas(ns):
     n1, n0 = divmod(ns.n, ns.m)
     k1, k0 = divmod(ns.k, ns.m)
     _check_total([_value_size(n0, k0, False) * _value_size(n1, k1, True)], "digits")
+    from .congruence import q_lucas_rhs
+
     return q_lucas_rhs(ns.n, ns.k, ns.m)
 
 
 def _apery(ns) -> str:
-    from .apery import apery
-
     # A(n) = A(-n - 1) is at least its k = m term, C(2m, m)^2 >= 16^m / (4m),
     # so it has more than (4m - log2(4m)) log10(2) digits, and log2(4m) is
     # below (4m).bit_length(), log10(2) above 0.30102.  Without a limit, the
@@ -434,6 +443,8 @@ def _apery(ns) -> str:
     if limit and (4 * m - (4 * m).bit_length()) * 30102 // 100000 > limit:
         raise _too_long(f"A({ns.n})")
     _check_total([_apery_digits(m)], "digits")
+    from .apery import apery
+
     return _int_text(apery(ns.n), f"A({ns.n})")
 
 

@@ -359,8 +359,6 @@ def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], li
     """
     dd = len(den) - 1
     rem = list(num)
-    if len(rem) <= dd:
-        return [], rem
     quot = [0] * (len(rem) - dd)
     for i in range(len(quot) - 1, -1, -1):
         c = rem[i + dd]
@@ -380,8 +378,6 @@ def divides(d: LaurentPoly, a: LaurentPoly) -> bool:
     """
     if d.is_zero() or d.val != 0 or not d.is_monic():
         raise ValueError("divisor must be monic with valuation 0")
-    if a.is_zero():
-        return True
     _, rem = _divmod_monic(a.coeffs, d.coeffs)
     return not any(rem)
 

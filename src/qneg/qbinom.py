@@ -87,11 +87,10 @@ def _classical_coeffs(
     A known [a+j, j], on the diagonal a at depth j, may be passed as start,
     and a as diagonal (m by default); the diagonal 0 admits only [0, 0] = 1.
     Its leading a*j // 2 + 1 coefficients seed the window.  The walk moves
-    a to m and j to k, in whichever order adds fewer coefficients
-    (`_walk_costs`); from [m, 0] the first leg of the a-first order is
-    empty.  A start past the target is walked back.  Each step keeps its
-    palindrome check.  A start that is not a palindrome of degree a*j, or
-    one on a negative diagonal, raises InvariantError.
+    a to m at the held depth j, then j to k on the diagonal m; from [m, 0]
+    the first leg is empty.  A start past the target is walked back.  Each
+    step keeps its palindrome check.  A start that is not a palindrome of
+    degree a*j, or one on a negative diagonal, raises InvariantError.
     """
     k = min(k, n - k)
     m = n - k
@@ -103,14 +102,8 @@ def _classical_coeffs(
     if a < 0 or start.val or j < 0 or j * a != len(seed) - 1 or seed != seed[::-1]:
         raise InvariantError(f"start is not a palindrome [{a} + j, j] on a diagonal a >= 0")
     coeffs, prev = list(seed[: j * a // 2 + 1]), j * a
-    # (held coordinate, moving coordinate, its end) for each leg; from [m, 0]
-    # the costs tie, and the a-first order's first leg is empty
-    a_first, j_first = _walk_costs(m, k, a, j)
-    if a_first <= j_first:
-        legs = ((j, a, m), (m, j, k))  # a first
-    else:
-        legs = ((a, j, k), (k, a, m))  # j first
-    for other, c, end in legs:
+    # (held coordinate, moving coordinate, its end) for each leg
+    for other, c, end in ((j, a, m), (m, j, k)):
         up = end > c
         for c in range(c + 1, end + 1) if up else range(c - 1, end - 1, -1):
             u, s = (c + other, c) if up else (c + 1, c + 1 + other)
@@ -137,14 +130,12 @@ def _classical_coeffs(
     return coeffs
 
 
-def _walk_costs(m: int, k: int, a: int, j: int) -> tuple[int, int]:
+def _walk_cost(m: int, k: int, a: int, j: int) -> int:
     """The coefficients that the walk from [a+j, j] to [m+k, k] adds, up to
-    a common factor, when it moves a first and when it moves j first.  A
-    step to [x+y, y] adds about x*y / 2 in its running sums, so a leg at
-    the held depth y from diagonal a to m adds about y |m^2 - a^2| / 4, and
-    one on the held diagonal x from depth j to k about x |k^2 - j^2| / 4."""
-    da, dj = abs(m * m - a * a), abs(k * k - j * j)
-    return j * da + m * dj, a * dj + k * da
+    a common factor.  A step to [x+y, y] adds about x*y / 2 in its running
+    sums: the leg from diagonal a to m at depth j about j |m^2 - a^2| / 4,
+    and the leg from depth j to k on the diagonal m about m |k^2 - j^2| / 4."""
+    return j * abs(m * m - a * a) + m * abs(k * k - j * j)
 
 
 def _check_at_plus_minus_one(n: int, k: int, half: list[int]) -> None:
@@ -196,14 +187,14 @@ def _remember(a: int, j: int, value: LaurentPoly) -> None:
 def _nearest_start(m: int, k: int) -> tuple[LaurentPoly | None, int]:
     """The held [a+j, j] from which the walk to [m+k, k] costs least, and
     its diagonal a; (None, m) for the walk from [m, 0].  A walk from
-    [a+j, j] costs the cheaper order of its two legs, min(`_walk_costs`) =
-    min(j |m^2 - a^2| + m |k^2 - j^2|, a |k^2 - j^2| + k |m^2 - a^2|),
-    which on each diagonal is least at the held depths next to k on either
-    side or at j = 0, and is at least min(m k^2, k |m^2 - a^2|).
-    So the scan runs down the diagonals from m, then up from m + 1, and
-    each side stops once k |m^2 - a^2| reaches the least cost found; with
-    that cost at most m k^2, it looks at no more than k + 1 + ceil(k / 2)
-    diagonals."""
+    [a+j, j] costs f(j) = `_walk_cost` = j |m^2 - a^2| + m |k^2 - j^2|.
+    On one diagonal f is concave for j <= k, with f(0) = m k^2 and
+    f(k) = k |m^2 - a^2|, and it increases with j for j >= k.  So f is
+    least at the held depths next to k on either side or at j = 0, and it
+    is at least min(m k^2, k |m^2 - a^2|).  The scan runs down the
+    diagonals from m, then up from m + 1, and each side stops once
+    k |m^2 - a^2| reaches the least cost found; with that cost at most
+    m k^2, it looks at no more than k + 1 + ceil(k / 2) diagonals."""
     best, start, diagonal = m * k * k, None, m
     with _INDEX_LOCK:
         for a, step in ((m, -1), (m + 1, 1)):
@@ -212,7 +203,7 @@ def _nearest_start(m: int, k: int) -> tuple[LaurentPoly | None, int]:
                 if depths:
                     i = bisect.bisect_right(depths, k)
                     for j in depths[i - 1 if i else 0 : i + 1]:
-                        cost = min(_walk_costs(m, k, a, j))
+                        cost = _walk_cost(m, k, a, j)
                         if cost < best:
                             # a collection may have cleared the reference and
                             # not yet run its callback, or run it in this

@@ -481,6 +481,22 @@ def test_subset_count_stops_at_the_first_value_past_the_limit(capsys, monkeypatc
     assert err == "error: the result is too large (35 subsets by estimate; the limit is 34)\n"
 
 
+def test_subset_count_is_the_size_of_binom_on_a_box(monkeypatch):
+    # the subsets suite counts comb(top, j) from the reflection of each
+    # (n, k), or 0 off the classical region, without reading binom
+    counted = []
+
+    def recording_check_total(sizes, unit):
+        if unit == "subsets":
+            counted.extend(sizes)
+
+    monkeypatch.setattr(cli, "_check_total", recording_check_total)
+    ns = argparse.Namespace(n=(-9, 9), k=(-9, 9))
+    next(cli._suite_subsets(ns))
+    assert counted == [abs(binom(n, k)) for n in range(-9, 10) for k in range(-9, 10)]
+    assert 0 in counted and len(set(counted)) > 40
+
+
 def test_box_yields_the_nested_loop_order():
     ns = argparse.Namespace(n=(-1, 2), k=None)
     assert list(cli._box(ns, 1)) == [(n, k) for n in range(-1, 3) for k in range(-1, 2)]

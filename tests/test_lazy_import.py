@@ -68,11 +68,26 @@ print(code, sorted(m for m in sys.modules if m.startswith("qneg.")))
         ["table", "--n", "-999..0", "--k", "0..999"],
         ["table", "--n", "0..100000000000000000000", "--k", "0..0"],
         ["expand", "--n", "3", "--mode", "pochhammer", "--trunc", "100000000000000000000"],
+        # the other requests that the CI job refuses as processes
+        ["qlucas", "--n", "4000", "--k", "2000", "--m", "100000"],
+        ["verify", "symmetry", "--n", "3000", "--k", "1500"],
+        ["verify", "subsets", "--n", "34", "--k", "17"],
+        ["verify", "chu", "--n", "600", "--m", "600", "--k", "300"],
+        ["verify", "lucas", "--p", "2", "--n", "20000000", "--k", "10000000"],
+        ["verify", "apery", "--n", "0..5000"],
+        ["verify", "qlucas", "--m", "2..100000", "--n", "0", "--k", "0"],
+        ["verify", "lucas", "--p", "2..100000000000000000000"],
+        ["verify", "freshman", "--m", "2..100000000000000000000"],
+        ["qlucas", "--n", "1000000999", "--k", "500000499", "--m", "1000"],
     ],
-    ids=["eval", "table", "table-huge", "expand-huge"],
+    ids=[
+        "eval", "table", "table-huge", "expand-huge", "qlucas", "symmetry", "subsets", "chu",
+        "lucas", "apery", "qlucas-moduli", "lucas-huge", "freshman-huge", "qlucas-factors",
+    ],  # fmt: skip
 )
 def test_a_refused_request_loads_no_library_module(argv):
-    # the size guard reads every size from the reflections, not from qbinom
+    # the size guards read every size from the reflections, not from qbinom,
+    # and each suite and handler imports the library only after its guards
     proc = python_s("-c", REFUSAL_PROBE.format(argv=argv))
     assert (proc.returncode, proc.stdout) == (0, "2 ['qneg.cli']\n")
     assert proc.stderr.startswith("error: the result is too large")

@@ -745,6 +745,22 @@ def test_kernel_walks_back_from_a_start_past_the_target():
         assert _classical_coeffs(20, 5, start=start, diagonal=diagonal) == expected
 
 
+def test_kernel_moves_the_diagonal_first_then_the_depth(monkeypatch):
+    # [25, 5] lies on the diagonal 20 at depth 5, [18, 8] on the diagonal 10
+    # at depth 8: up from 10 to 20 at depth 8, then down from 8 to 5 on 20
+    qbinom_module = sys.modules["qneg.qbinom"]
+    divide, divisors = qbinom_module._divide_by_one_minus_q_power, []
+
+    def recording_divide(prod, d):
+        divisors.append(d)
+        divide(prod, d)
+
+    start = qbinom(18, 8)
+    monkeypatch.setattr(qbinom_module, "_divide_by_one_minus_q_power", recording_divide)
+    assert _classical_coeffs(25, 5, start=start, diagonal=10) == classical_coeffs_half(25, 5)
+    assert divisors == [*range(11, 21), 28, 27, 26]
+
+
 def test_nearest_start_picks_the_least_cost_source():
     qbinom_module = sys.modules["qneg.qbinom"]
     nearest = qbinom_module._nearest_start
@@ -756,9 +772,9 @@ def test_nearest_start_picks_the_least_cost_source():
     lower = qbinom(50, 10)  # diagonal 40, depth 10: 10 (45^2 - 40^2) + 45 (12^2 - 10^2)
     assert 10 * (45**2 - 40**2) + 45 * (12**2 - 10**2) < 45 * 12**2
     assert nearest(45, 12) == (lower, 40)
-    # to [54, 9], depth 10 first: 40 (10^2 - 9^2) + 9 (45^2 - 40^2) = 4585,
+    # to [54, 9], depth 10 costs 10 (45^2 - 40^2) + 45 (10^2 - 9^2) = 5105,
     # and depth 2 costs 2 (45^2 - 40^2) + 45 (9^2 - 2^2) = 4315
-    assert min(10 * (45**2 - 40**2) + 45 * (10**2 - 9**2), 40 * (10**2 - 9**2) + 9 * 425) == 4585
+    assert 10 * 425 + 45 * 19 == 5105 > 45 * 9**2
     assert 4315 > 45 * 9**2
     assert nearest(45, 9) == (None, 45)
     same = qbinom(56, 11)  # diagonal 45, depth 11: 45 (12^2 - 11^2)

@@ -7,7 +7,6 @@ which is what "congruent mod Phi_m(q)" means for Laurent polynomials.
 
 from __future__ import annotations
 
-import functools
 import operator
 import sys
 from array import array
@@ -384,7 +383,7 @@ def divides(d: LaurentPoly, a: LaurentPoly) -> bool:
 
 class CyclotomicModulus(namedtuple("CyclotomicModulus", ["m"])):
     """The congruence context for q-Lucas: an integer m >= 2.  Its m-th
-    cyclotomic polynomial Phi_m(q), `phi`, is built only when read."""
+    cyclotomic polynomial Phi_m(q), `phi`, is built anew on each read."""
 
     __slots__ = ()
 
@@ -408,18 +407,38 @@ def _prime_factors(m: int) -> list[int]:
     return primes
 
 
-def _phi_divides_residue(r: list[int], m: int) -> bool:
+class _Residue(tuple):
+    """A Laurent polynomial modulo q^m - 1 as at most m slots, slot r the
+    sum of its coefficients at exponents r mod m, and zero past the last.
+    Sums and differences go slot by slot, as far as the shorter operand;
+    only a residue of all m slots may be shifted."""
+
+    __slots__ = ()
+
+    def __add__(self, other: _Residue) -> _Residue:
+        return _Residue(map(operator.add, self, other))
+
+    def __sub__(self, other: _Residue) -> _Residue:
+        return _Residue(map(operator.sub, self, other))
+
+    def shift(self, e: int) -> _Residue:
+        """Multiply by q^e: a rotation by e slots."""
+        e %= len(self)
+        return _Residue(self[-e:] + self[:-e]) if e else self
+
+
+def _phi_divides_residue(r: Sequence[int], m: int) -> bool:
     """True if Phi_m divides the polynomial whose ascending coefficients are
-    r, with len(r) <= m; no division is done.
+    r, a `_Residue` or a list with len(r) <= m; no division is done.
 
     Phi_m is monic, so dividing by it over Z and over Q agree, and Phi_m
     divides an r of degree below m exactly when r(zeta_m) = 0.  If r is
-    shorter than phi(m) + 1, that means r = 0.  Otherwise r, padded to m
-    slots, is multiplied in Z[q]/(q^m - 1) by E = prod over primes p | m of
-    (1 - q^(m/p)), one cyclic rotation and subtraction per p.  E vanishes at
-    zeta_d for every proper divisor d of m, since some p has d | m/p, and
-    not at zeta_m; q^m - 1 is squarefree, so E r = 0 there exactly when
-    r(zeta_m) = 0.
+    shorter than phi(m) + 1, that means r = 0.  Otherwise r, padded to a
+    `_Residue` of all m slots, is multiplied in Z[q]/(q^m - 1) by E = prod
+    over primes p | m of (1 - q^(m/p)), as r - r.shift(m/p) for each p.  E
+    vanishes at zeta_d for every proper divisor d of m, since some p has
+    d | m/p, and not at zeta_m; q^m - 1 is squarefree, so E r = 0 there
+    exactly when r(zeta_m) = 0.
     """
     primes = _prime_factors(m)
     phi = m
@@ -427,9 +446,9 @@ def _phi_divides_residue(r: list[int], m: int) -> bool:
         phi -= phi // p
     if len(r) <= phi:
         return not any(r)
-    r = r + [0] * (m - len(r))
-    for t in (m // p for p in primes):  # slot i loses slot i - t, read cyclically
-        r = list(map(operator.sub, r, r[-t:] + r[:-t]))
+    r = _Residue((*r, *repeat(0, m - len(r))))
+    for p in primes:
+        r = r - r.shift(m // p)
     return not any(r)
 
 
@@ -441,9 +460,8 @@ def _divide_by_one_minus_q_power(prod: list[int], i: int) -> None:
         prod[r::i] = accumulate(prod[r::i])
 
 
-@functools.lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> LaurentPoly:
-    """The m-th cyclotomic polynomial for m >= 1.
+    """The m-th cyclotomic polynomial for m >= 1, built anew on each call.
 
     For m > 1 it is the Moebius product Phi_m = prod over d | m of
     (1 - q^d)^mu(m/d).  Every factor with exponent +1 is multiplied in
@@ -484,16 +502,16 @@ def cyclotomic(m: int) -> CyclotomicModulus:
     return CyclotomicModulus(m)
 
 
-def _fold(a: LaurentPoly, m: int, shift: int, size: int) -> list[int]:
-    """The residue of q^-shift * a modulo q^m - 1 as ``size`` <= m
-    coefficients, the one of q^r at index r: the coefficients of ``a`` are
-    summed over each class of exponents mod m, one slice sum per class.  A
-    side of at most m coefficients makes one pass per coefficient."""
+def _fold(a: LaurentPoly, m: int, shift: int, size: int) -> _Residue:
+    """The residue of q^-shift * a modulo q^m - 1 as a `_Residue` of
+    ``size`` <= m slots, which must reach its last nonzero slot: the
+    coefficients of ``a`` are summed over each class of exponents mod m,
+    one slice sum per class, one pass per coefficient for a short side."""
     folded = [0] * size
     start = a.val - shift
     for r in range(min(m, len(a.coeffs))):
         folded[(start + r) % m] = sum(a.coeffs[r::m])
-    return folded
+    return _Residue(folded)
 
 
 def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> bool:
@@ -501,12 +519,13 @@ def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> boo
 
     Phi_m divides q^m - 1, and q^-v is a unit, so a and b may each be
     multiplied by q^-v and reduced modulo q^m - 1 first.  With v the lower
-    valuation of the two, that leaves a difference no longer than m or than
-    a - b, which ``_phi_divides_residue`` tests exactly, without division;
-    a - b itself is never formed.  Both sides go through the one fold,
-    whatever their span.  A rejection, which would report a counterexample,
-    is confirmed by ``divides``, the reference: only then is Phi_m built and
-    divided into the residue, and a disagreement raises InvariantError.
+    valuation of the two, that leaves a `_Residue` difference no longer
+    than m or than a - b, which ``_phi_divides_residue`` tests exactly,
+    without division; a - b itself is never formed.  Both sides go through
+    the one fold, whatever their span.  A rejection, which would report a
+    counterexample, is confirmed by ``divides``, the reference: only then
+    is Phi_m built and divided into the residue, and a disagreement raises
+    InvariantError.
 
     >>> congruent_mod(LaurentPoly(-1, (1,)), LaurentPoly(2, (1,)), cyclotomic(3))
     True
@@ -515,7 +534,7 @@ def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> boo
     sides = [x for x in (a, b) if x.coeffs]
     shift = min((x.val for x in sides), default=0)
     size = min(m, max((x.degree() + 1 - shift for x in sides), default=0))
-    diff = list(map(operator.sub, _fold(a, m, shift, size), _fold(b, m, shift, size)))
+    diff = _fold(a, m, shift, size) - _fold(b, m, shift, size)
     if _phi_divides_residue(diff, m):
         return True
     if divides(mod.phi, LaurentPoly(0, diff)):

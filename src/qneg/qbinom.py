@@ -245,15 +245,15 @@ def qbinom(n: int, k: int) -> LaurentPoly:
         if k:
             _remember(n - k, k, value)
         return value
+    # the halved products are even: k and 2n - k + 1 differ in parity, and
+    # n(n+1) and k(k+1) are each a product of two consecutive integers
     if reg is Region.NEGATIVE_N:
-        doubled, sign = k * (2 * n - k + 1), -1 if k % 2 else 1
+        shift, sign = k * (2 * n - k + 1) // 2, -1 if k % 2 else 1
         top, j = k - n - 1, k
     else:
-        doubled, sign = n * (n + 1) - k * (k + 1), -1 if (n - k) % 2 else 1
+        shift, sign = (n * (n + 1) - k * (k + 1)) // 2, -1 if (n - k) % 2 else 1
         top, j = -k - 1, -n - 1
-    if doubled % 2:
-        raise InvariantError(f"odd q-shift exponent at ({n}, {k})")
-    return (qbinom(top, min(j, top - j)) * sign).shift(doubled // 2)
+    return (qbinom(top, min(j, top - j)) * sign).shift(shift)
 
 
 def binom(n: int, k: int) -> int:

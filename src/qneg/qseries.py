@@ -11,12 +11,11 @@ together with the commutative q-binomial theorem for the shifted factorial
 from __future__ import annotations
 
 import enum
-import operator
 from collections import namedtuple
 from collections.abc import Callable
 
 from . import _public
-from .laurent import ONE, ZERO, LaurentPoly, _phi_divides_residue
+from .laurent import ONE, ZERO, LaurentPoly, _fold, _phi_divides_residue
 from .qbinom import qbinom
 
 __all__ = _public(__name__)
@@ -84,33 +83,14 @@ def series_mul(a: NormalSeries, b: NormalSeries) -> NormalSeries:
     return NormalSeries(n, a.direction, kept, truncation)
 
 
-class _Residue(tuple):
-    """A Laurent polynomial modulo q^m - 1 as its m slots, slot r holding
-    the coefficients at exponents congruent to r mod m summed: the entry
-    type of a chain that is folded as it runs."""
-
-    __slots__ = ()
-
-    def __add__(self, other: _Residue) -> _Residue:
-        return _Residue(map(operator.add, self, other))
-
-    def __sub__(self, other: _Residue) -> _Residue:
-        return _Residue(map(operator.sub, self, other))
-
-    def shift(self, e: int) -> _Residue:
-        """Multiply by q^e: a rotation by e slots."""
-        e %= len(self)
-        return _Residue(self[-e:] + self[:-e]) if e else self
-
-
 def _factor_chain(
     n: int, truncation: int, exponent: Callable[[int, int], int], one=ONE
 ) -> list:
     """The window c[0], c[1], ... of a chain of |n| two-term factors
     1 + q^s t, started from [one, 0, 0, ...] and cut to `truncation`
     entries, or for n >= 0 to the support i <= n if that is shorter.  The
-    entries are `LaurentPoly` values, or `_Residue` ones from a residue
-    `one`.
+    entries are `LaurentPoly` values, or `laurent._Residue` ones from a
+    residue `one`.
 
     For n >= 0 factors j = 0..n-1 multiply: c[i] gains q^s c[i-1], with i
     descending so that c[i-1] is still the old entry.  For n < 0 factors
@@ -215,6 +195,6 @@ def freshman_congruence(m: int) -> bool:
     chain's diagonal, which sees a wrong diagonal exponent only modulo m."""
     if m < 2:
         raise ValueError(f"freshman congruence requires m >= 2, got {m}")
-    unit = _Residue((1,) + (0,) * (m - 1))
+    unit = _fold(ONE, m, 0, m)
     chain = _factor_chain(m, m + 1, _xy_exponent, unit)
-    return chain[0] == chain[m] == unit and all(_phi_divides_residue(list(c), m) for c in chain[1:m])
+    return chain[0] == chain[m] == unit and all(_phi_divides_residue(c, m) for c in chain[1:m])

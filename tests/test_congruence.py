@@ -298,6 +298,25 @@ def test_annihilator_agrees_with_long_division(m):
                 assert any(laurent._divmod_monic(control, phi)[1]), j
 
 
+@pytest.mark.parametrize("m", [m for m in range(4, 131) if not is_prime(m)])
+def test_annihilator_pads_every_length_between_phi_and_m(m):
+    # a residue longer than phi(m) and shorter than m is padded to m slots
+    # before the annihilator rotates it; prime m has no such length
+    phi = laurent.cyclotomic_poly(m)
+    lengths = range(len(phi.coeffs), m)
+    assert lengths
+    for length in lengths:
+        multiple = [0] * (length - len(phi.coeffs)) + list(phi.coeffs)
+        last, first = multiple.copy(), multiple.copy()
+        last[-1] += 1
+        first[0] += 1
+        for r, expected in ((multiple, True), (last, False), (first, False)):
+            assert len(r) == length
+            assert laurent._phi_divides_residue(r, m) is expected, (length, r)
+            assert laurent._phi_divides_residue(laurent._Residue(r), m) is expected, (length, r)
+            assert divides(phi, LaurentPoly(0, r)) is expected, (length, r)
+
+
 def test_congruent_mod_decides_qlucas_without_long_division(monkeypatch, capsys):
     def refuse(num, den):
         raise AssertionError("long division called")

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import weakref
 
 import pytest
 
@@ -195,7 +196,6 @@ def test_cyclotomic_structure(m):
 def test_cyclotomic_cache_concurrent_fill():
     import threading
 
-    cyclotomic_poly.cache_clear()
     results = []
 
     def worker():
@@ -208,6 +208,13 @@ def test_cyclotomic_cache_concurrent_fill():
         t.join()
     assert len(results) == 8
     assert all(r == results[0] for r in results)
+
+
+def test_a_read_of_phi_leaves_nothing_held():
+    phi = cyclotomic(97).phi
+    ref = weakref.ref(phi)
+    del phi
+    assert ref() is None
 
 
 @pytest.mark.parametrize("m", range(1, 31))
@@ -236,7 +243,6 @@ def cyclotomic_by_division(m):
 
 
 def test_cyclotomic_matches_the_division_recursion():
-    cyclotomic_poly.cache_clear()
     for m in range(1, 401):
         assert cyclotomic_poly(m) == cyclotomic_by_division(m), m
 
@@ -265,7 +271,7 @@ def test_cyclotomic_division_rejects_a_remainder(monkeypatch):
     # (1 - q^6)(1 - q), whose top coefficients are a remainder
     monkeypatch.setattr(laurent, "_divide_by_one_minus_q_power", lambda coeffs, d: None)
     with pytest.raises(InvariantError, match="cyclotomic division left a remainder at m=6"):
-        cyclotomic_poly.__wrapped__(6)
+        cyclotomic_poly(6)
 
 
 # -- divisibility -------------------------------------------------------------

@@ -297,50 +297,72 @@ def _schoolbook_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _slot_width(bound: int) -> int:
+    """The bytes per slot that `_pack` uses for integers of absolute value
+    at most ``bound``: the fewest whose two's complement holds them,
+    8 * width > bound.bit_length(), rounded up to a machine word of 1, 2,
+    4 or 8 bytes, which `array` writes and reads in C, if that is at most
+    8; a wider slot as it is."""
+    width = bound.bit_length() // 8 + 1
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def _halves(width: int, slots: int) -> int:
+    """2**(8*width - 1) in each of ``slots`` slots of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """The value at q = 2**(8*width) of the polynomial with ascending
+    coefficients ``coeffs``, each of absolute value below 2**(8*width - 1),
+    at a slot width of 1, 2, 4 or 8 bytes or wider, as `_slot_width` gives.
+
+    Each coefficient is written into a two's-complement slot of ``width``
+    bytes, and the slots are read as one integer.  XOR with
+    2**(8*width - 1) in every slot turns them into nonnegative slots biased
+    by that much, so subtracting the biases gives the value.  A slot of at
+    most 8 bytes is a machine word, which `array` writes in C; a wider slot
+    goes through int.to_bytes, one coefficient at a time.
+
+    >>> _pack([1, -1], 1) == 1 - 2**8
+    True
+    """
+    if len(coeffs) < 2:  # a constant, or nothing, is its own value
+        return sum(coeffs)
+    if width <= 8:
+        words = array(_WORD_CODES[width], coeffs)
+        if sys.byteorder == "big":
+            words.byteswap()
+        raw = words.tobytes()
+    else:
+        raw = b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs])
+    bias = _halves(width, len(coeffs))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The convolution of two coefficient lists, each with a nonzero entry,
-    by Kronecker substitution: each list is packed into one integer, a
-    polynomial evaluated at q = 2**w, and the integers are multiplied by
-    CPython's bigint arithmetic (Karatsuba for long operands).
+    by Kronecker substitution: each list is packed by `_pack` into one
+    integer, a polynomial evaluated at q = 2**w, and the integers are
+    multiplied by CPython's bigint arithmetic (Karatsuba for long operands).
 
     Every coefficient of the product is bounded in absolute value by
     max|a| * max|b| * min(len a, len b) < 2**(w-1), so each w-bit slot of
-    the product holds one coefficient.  Slots are written and read in two's
-    complement; XOR with 2**(w-1) in every slot turns them into nonnegative
-    slots biased by 2**(w-1) and back, so no slot of the product borrows
-    from its neighbour.
+    the product holds one coefficient.  Adding 2**(w-1) to every slot of the
+    product keeps each slot nonnegative, so no slot borrows from its
+    neighbour, and XOR with the same biases gives back the slots in two's
+    complement.
 
     A slot of at most 8 bytes is widened to 1, 2, 4 or 8, a machine word,
     which `array` writes and reads in C; a wider slot goes through
     int.to_bytes and int.from_bytes.
     """
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 1  # bytes per slot: 8 * width > bit_length
-    words = width <= 8
-    if words:
-        width = 1 << (width - 1).bit_length()
-        code = _WORD_CODES[width]
-    half_bytes = bytes(width - 1) + b"\x80"  # 2**(w-1), little-endian
-
-    def halves(slots: int) -> int:  # 2**(w-1) in each of `slots` slots
-        return int.from_bytes(half_bytes * slots, "little")
-
-    def pack(coeffs: Sequence[int]) -> int:
-        if words:
-            packed = array(code, coeffs)
-            if sys.byteorder == "big":
-                packed.byteswap()
-            packed = packed.tobytes()
-        else:
-            packed = b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
-        bias = halves(len(coeffs))
-        return (int.from_bytes(packed, "little") ^ bias) - bias
-
+    width = _slot_width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
     size = len(a) + len(b) - 1
-    slots = halves(size)
-    raw = ((pack(a) * pack(b) + slots) ^ slots).to_bytes(width * size, "little")
-    if words:
-        out = array(code, raw)
+    slots = _halves(width, size)
+    raw = ((_pack(a, width) * _pack(b, width) + slots) ^ slots).to_bytes(width * size, "little")
+    if width <= 8:
+        out = array(_WORD_CODES[width], raw)
         if sys.byteorder == "big":
             out.byteswap()
         return out.tolist()
@@ -407,38 +429,71 @@ def _prime_factors(m: int) -> list[int]:
     return primes
 
 
-class _Residue(tuple):
-    """A Laurent polynomial modulo q^m - 1 as at most m slots, slot r the
-    sum of its coefficients at exponents r mod m, and zero past the last.
-    Sums and differences go slot by slot, as far as the shorter operand;
-    only a residue of all m slots may be shifted."""
+def _rotation(m: int, w: int) -> Callable[[int, int], int]:
+    """Multiplication by q^e on residues modulo q^m - 1 packed at q = 2**w.
 
-    __slots__ = ()
+    Evaluating at q = 2**w maps Z[q]/(q^m - 1) onto Z/(2**(w*m) - 1): a
+    residue with slots r_0, .., r_(m-1) becomes the integer sum of
+    r_i * 2**(w*i), taken modulo N = 2**(w*m) - 1.  Sums and differences are
+    those of the integers, and q^e, a power of 2 modulo N, is a rotation of
+    w*m bits by w*(e mod m).  A residue is any integer congruent to its
+    value modulo N, so it may be negative or past N; the rotation keeps the
+    low w*m bits of the shifted integer and adds back what passed them,
+    which reduces it.  Two residues whose slot differences stay below
+    2**(w-1) in absolute value are equal exactly when they agree modulo N.
+    """
+    size = m * w
+    mask = (1 << size) - 1
 
-    def __add__(self, other: _Residue) -> _Residue:
-        return _Residue(map(operator.add, self, other))
+    def shift(r: int, e: int) -> int:
+        s = e % m * w
+        return ((r << s) & mask) + (r >> (size - s))
 
-    def __sub__(self, other: _Residue) -> _Residue:
-        return _Residue(map(operator.sub, self, other))
+    return shift
 
-    def shift(self, e: int) -> _Residue:
-        """Multiply by q^e: a rotation by e slots."""
-        e %= len(self)
-        return _Residue(self[-e:] + self[:-e]) if e else self
+
+def _residue_slots(r: int, m: int, w: int) -> list[int]:
+    """The m slots of a residue modulo q^m - 1 packed at q = 2**w, as
+    `_rotation` packs it, provided each slot is below 2**(w-1) in absolute
+    value: the integer reduced into (-N/2, N/2], N = 2**(w*m) - 1, read
+    as balanced digits in base 2**w."""
+    mask = (1 << m * w) - 1
+    r %= mask
+    if r > mask >> 1:
+        r -= mask
+    half, low = 1 << (w - 1), (1 << w) - 1
+    slots = []
+    for _ in range(m):
+        slots.append(((r + half) & low) - half)
+        r = (r - slots[-1]) >> w
+    return slots
+
+
+def _annihilates(r: int, m: int, w: int, primes: Sequence[int]) -> bool:
+    """True if the residue r modulo q^m - 1, packed at q = 2**w, times
+    E = prod over the primes p | m of (1 - q^(m/p)) is zero; this is exact
+    when 2**omega(m) times r's largest slot, omega(m) = len(primes), stays below
+    2**(w-1), since no slot of E r can be larger.  Each prime takes one
+    rotation and one subtraction, r - q^(m/p) r."""
+    rotate = _rotation(m, w)
+    for p in primes:
+        r -= rotate(r, m // p)
+    return r % ((1 << m * w) - 1) == 0
 
 
 def _phi_divides_residue(r: Sequence[int], m: int) -> bool:
     """True if Phi_m divides the polynomial whose ascending coefficients are
-    r, a `_Residue` or a list with len(r) <= m; no division is done.
+    r, a list with len(r) <= m; no division is done.
 
     Phi_m is monic, so dividing by it over Z and over Q agree, and Phi_m
     divides an r of degree below m exactly when r(zeta_m) = 0.  If r is
-    shorter than phi(m) + 1, that means r = 0.  Otherwise r, padded to a
-    `_Residue` of all m slots, is multiplied in Z[q]/(q^m - 1) by E = prod
-    over primes p | m of (1 - q^(m/p)), as r - r.shift(m/p) for each p.  E
-    vanishes at zeta_d for every proper divisor d of m, since some p has
-    d | m/p, and not at zeta_m; q^m - 1 is squarefree, so E r = 0 there
-    exactly when r(zeta_m) = 0.
+    shorter than phi(m) + 1, that means r = 0.  Otherwise r is packed by
+    `_pack`, a residue modulo q^m - 1, at w >= bit_length(max|r|) +
+    omega(m) + 2 bits a slot, as `_slot_width` rounds it, and
+    `_annihilates` multiplies it by E = prod over primes p | m of
+    (1 - q^(m/p)).  E vanishes at zeta_d for every proper divisor
+    d of m, since some p has d | m/p, and not at zeta_m; q^m - 1 is
+    squarefree, so E r = 0 there exactly when r(zeta_m) = 0.
     """
     primes = _prime_factors(m)
     phi = m
@@ -446,10 +501,17 @@ def _phi_divides_residue(r: Sequence[int], m: int) -> bool:
         phi -= phi // p
     if len(r) <= phi:
         return not any(r)
-    r = _Residue((*r, *repeat(0, m - len(r))))
-    for p in primes:
-        r = r - r.shift(m // p)
-    return not any(r)
+    width = _slot_width(max(max(r), -min(r)) << len(primes) + 1)
+    return _annihilates(_pack(r, width), m, 8 * width, primes)
+
+
+def _confirm_rejection(r: Sequence[int], m: int) -> bool:
+    """False, after ``divides``, the reference, has confirmed that Phi_m
+    does not divide the polynomial with ascending coefficients r; a
+    disagreement raises InvariantError.  Phi_m is built only here."""
+    if divides(cyclotomic_poly(m), LaurentPoly(0, r)):
+        raise InvariantError(f"annihilator and long division disagree modulo Phi_{m}")
+    return False
 
 
 def _divide_by_one_minus_q_power(prod: list[int], i: int) -> None:
@@ -502,16 +564,16 @@ def cyclotomic(m: int) -> CyclotomicModulus:
     return CyclotomicModulus(m)
 
 
-def _fold(a: LaurentPoly, m: int, shift: int, size: int) -> _Residue:
-    """The residue of q^-shift * a modulo q^m - 1 as a `_Residue` of
-    ``size`` <= m slots, which must reach its last nonzero slot: the
-    coefficients of ``a`` are summed over each class of exponents mod m,
-    one slice sum per class, one pass per coefficient for a short side."""
+def _fold(a: LaurentPoly, m: int, shift: int, size: int) -> list[int]:
+    """The residue of q^-shift * a modulo q^m - 1 as a list of ``size`` <= m
+    slots, which must reach its last nonzero slot: the coefficients of
+    ``a`` are summed over each class of exponents mod m, one slice sum per
+    class, one pass per coefficient for a short side."""
     folded = [0] * size
     start = a.val - shift
     for r in range(min(m, len(a.coeffs))):
         folded[(start + r) % m] = sum(a.coeffs[r::m])
-    return _Residue(folded)
+    return folded
 
 
 def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> bool:
@@ -519,13 +581,13 @@ def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> boo
 
     Phi_m divides q^m - 1, and q^-v is a unit, so a and b may each be
     multiplied by q^-v and reduced modulo q^m - 1 first.  With v the lower
-    valuation of the two, that leaves a `_Residue` difference no longer
-    than m or than a - b, which ``_phi_divides_residue`` tests exactly,
-    without division; a - b itself is never formed.  Both sides go through
-    the one fold, whatever their span.  A rejection, which would report a
+    valuation of the two, that leaves a folded difference no longer than m
+    or than a - b, which ``_phi_divides_residue`` tests exactly, without
+    division; a - b itself is never formed.  Both sides go through the one
+    fold, whatever their span.  A rejection, which would report a
     counterexample, is confirmed by ``divides``, the reference: only then
-    is Phi_m built and divided into the residue, and a disagreement raises
-    InvariantError.
+    is Phi_m built and divided into the folded difference, and a
+    disagreement raises InvariantError.
 
     >>> congruent_mod(LaurentPoly(-1, (1,)), LaurentPoly(2, (1,)), cyclotomic(3))
     True
@@ -534,9 +596,32 @@ def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> boo
     sides = [x for x in (a, b) if x.coeffs]
     shift = min((x.val for x in sides), default=0)
     size = min(m, max((x.degree() + 1 - shift for x in sides), default=0))
-    diff = _fold(a, m, shift, size) - _fold(b, m, shift, size)
-    if _phi_divides_residue(diff, m):
-        return True
-    if divides(mod.phi, LaurentPoly(0, diff)):
-        raise InvariantError(f"annihilator and long division disagree modulo Phi_{m}")
-    return False
+    diff = list(map(operator.sub, _fold(a, m, shift, size), _fold(b, m, shift, size)))
+    return _phi_divides_residue(diff, m) or _confirm_rejection(diff, m)
+
+
+def _products_sum(terms: Sequence[tuple[LaurentPoly, LaurentPoly, int]]) -> LaurentPoly:
+    """The sum of q^e * a * b over the triples (a, b, e), as a `LaurentPoly`:
+    the reference that confirms each rejection of `_products_sum_equals`."""
+    total = ZERO
+    for a, b, e in terms:
+        total = total + (a * b).shift(e)
+    return total
+
+
+def _products_sum_equals(terms: Sequence[tuple[LaurentPoly, LaurentPoly, int]], c: LaurentPoly) -> bool:
+    """True if c equals the sum of q^e * a * b over the triples (a, b, e),
+    decided by one comparison of integers, the two sides evaluated at
+    q = 2**w by `_pack`.  Their difference has no coefficient larger than
+    the sum of max|a| * max|b| * min(len a, len b) over the terms plus
+    max|c|, which w-bit two's-complement slots hold, so it evaluates to
+    zero only if it is zero.  No product or sum of polynomials is formed."""
+    terms = [(a.coeffs, b.coeffs, a.val + b.val + e) for a, b, e in terms if a.coeffs and b.coeffs]
+    bound = max(map(abs, c.coeffs), default=0)
+    for a, b, _ in terms:
+        bound += max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = _slot_width(bound)
+    bits = 8 * width
+    base = min([c.val, *(e for _, _, e in terms)])
+    lhs = sum(_pack(a, width) * _pack(b, width) << bits * (e - base) for a, b, e in terms)
+    return lhs == _pack(c.coeffs, width) << bits * (c.val - base)

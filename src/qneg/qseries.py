@@ -15,7 +15,19 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from . import _public
-from .laurent import ONE, ZERO, LaurentPoly, _fold, _phi_divides_residue
+from .laurent import (
+    ONE,
+    ZERO,
+    InvariantError,
+    LaurentPoly,
+    _annihilates,
+    _confirm_rejection,
+    _prime_factors,
+    _products_sum,
+    _products_sum_equals,
+    _residue_slots,
+    _rotation,
+)
 from .qbinom import qbinom
 
 __all__ = _public(__name__)
@@ -84,13 +96,18 @@ def series_mul(a: NormalSeries, b: NormalSeries) -> NormalSeries:
 
 
 def _factor_chain(
-    n: int, truncation: int, exponent: Callable[[int, int], int], one=ONE
+    n: int,
+    truncation: int,
+    exponent: Callable[[int, int], int],
+    one=ONE,
+    shift: Callable = LaurentPoly.shift,
 ) -> list:
     """The window c[0], c[1], ... of a chain of |n| two-term factors
     1 + q^s t, started from [one, 0, 0, ...] and cut to `truncation`
     entries, or for n >= 0 to the support i <= n if that is shorter.  The
-    entries are `LaurentPoly` values, or `laurent._Residue` ones from a
-    residue `one`.
+    entries are `LaurentPoly` values, or integers, residues modulo q^m - 1
+    packed at q = 2**w, from the unit residue 1 and the rotation
+    `laurent._rotation(m, w)` as `shift`, which multiplies by q^s.
 
     For n >= 0 factors j = 0..n-1 multiply: c[i] gains q^s c[i-1], with i
     descending so that c[i-1] is still the old entry.  For n < 0 factors
@@ -107,11 +124,11 @@ def _factor_chain(
     if n >= 0:
         for j in range(passes):
             for i in range(min(j + 1, size - 1), 0, -1):
-                c[i] = c[i] + c[i - 1].shift(exponent(j, i))
+                c[i] = c[i] + shift(c[i - 1], exponent(j, i))
     else:
         for j in range(-1, -passes - 1, -1):
             for i in range(1, size):
-                c[i] = c[i] - c[i - 1].shift(exponent(j, i))
+                c[i] = c[i] - shift(c[i - 1], exponent(j, i))
     return c
 
 
@@ -162,15 +179,10 @@ def pochhammer_expansion(n: int, truncation: int) -> PowerSeriesInX:
     window = _factor_chain(n, truncation, lambda j, i: j)
     return PowerSeriesInX(dict(enumerate(window)), truncation)
 
-def verify_chu_vandermonde(n: int, m: int, k: int) -> bool:
-    """Check the generalized Chu-Vandermonde identity
 
-        sum_j q^((k-j)(n-j)) qbinom(n, j) qbinom(m, k-j) = qbinom(n+m, k)
-
-    with j = 0..k when k >= 0 (any integers n, m), or j = -1, -2, .., k+1
-    when n, m, k are all negative.  Inputs in neither branch are rejected;
-    the identity does not generally hold for mixed signs.
-    """
+def _chu_sides(n: int, m: int, k: int) -> tuple[list[tuple[LaurentPoly, LaurentPoly, int]], LaurentPoly]:
+    """The terms (qbinom(n, j), qbinom(m, k-j), (k-j)(n-j)) of the sum in
+    `verify_chu_vandermonde`, vanishing ones included, and its right side."""
     if k >= 0:
         js = range(0, k + 1)
     elif n < 0 and m < 0:
@@ -179,22 +191,51 @@ def verify_chu_vandermonde(n: int, m: int, k: int) -> bool:
         raise ValueError(
             "identity requires k >= 0, or n, m, k all negative"
         )
-    total = ZERO
-    for j in js:
-        term = (qbinom(n, j) * qbinom(m, k - j)).shift((k - j) * (n - j))
-        total = total + term
-    return total == qbinom(n + m, k)
+    terms = [(qbinom(n, j), qbinom(m, k - j), (k - j) * (n - j)) for j in js]
+    return terms, qbinom(n + m, k)
+
+
+def verify_chu_vandermonde(n: int, m: int, k: int) -> bool:
+    """Check the generalized Chu-Vandermonde identity
+
+        sum_j q^((k-j)(n-j)) qbinom(n, j) qbinom(m, k-j) = qbinom(n+m, k)
+
+    with j = 0..k when k >= 0 (any integers n, m), or j = -1, -2, .., k+1
+    when n, m, k are all negative.  Inputs in neither branch are rejected;
+    the identity does not generally hold for mixed signs.  The two sides
+    are compared as two integers, by `laurent._products_sum_equals`; a
+    rejection is confirmed by the exact sum, `laurent._products_sum`, and a
+    disagreement raises InvariantError.
+    """
+    terms, rhs = _chu_sides(n, m, k)
+    if _products_sum_equals(terms, rhs):
+        return True
+    if _products_sum(terms) == rhs:
+        raise InvariantError(f"packed and exact Chu-Vandermonde sums disagree at {(n, m, k)}")
+    return False
 
 
 def freshman_congruence(m: int) -> bool:
     """Check (x+y)^m = x^m + y^m modulo Phi_m(q): the boundary coefficients
     of the expansion equal 1 and every interior one is divisible by Phi_m.
     All m + 1 coefficients are read as residues modulo q^m - 1 from one
-    chain of `power_xy`'s factors.  Both ends must be the unit residue: the
-    first entry, which no factor changes, and the last, the product of the
-    chain's diagonal, which sees a wrong diagonal exponent only modulo m."""
+    chain of `power_xy`'s factors, packed at q = 2**w with
+    w = m + omega(m) + 2 bits a slot: the residue of the coefficient at x^i has
+    nonnegative slots summing to C(m, i) < 2**m, so each slot of it times
+    the annihilator stays below 2**(w-1).  Both ends must be the unit
+    residue: the first entry, which no factor changes, and the last, the
+    product of the chain's diagonal, which sees a wrong diagonal exponent
+    only modulo m.  A rejected interior residue is confirmed by long
+    division of its slots."""
     if m < 2:
         raise ValueError(f"freshman congruence requires m >= 2, got {m}")
-    unit = _fold(ONE, m, 0, m)
-    chain = _factor_chain(m, m + 1, _xy_exponent, unit)
-    return chain[0] == chain[m] == unit and all(_phi_divides_residue(c, m) for c in chain[1:m])
+    primes = _prime_factors(m)
+    w = m + len(primes) + 2
+    chain = _factor_chain(m, m + 1, _xy_exponent, 1, _rotation(m, w))
+    modulus = (1 << m * w) - 1
+    if not chain[0] % modulus == chain[m] % modulus == 1:
+        return False
+    return all(
+        _annihilates(c, m, w, primes) or _confirm_rejection(_residue_slots(c, m, w), m)
+        for c in chain[1:m]
+    )

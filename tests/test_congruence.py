@@ -303,6 +303,7 @@ def test_annihilator_pads_every_length_between_phi_and_m(m):
     # a residue longer than phi(m) and shorter than m is padded to m slots
     # before the annihilator rotates it; prime m has no such length
     phi = laurent.cyclotomic_poly(m)
+    primes = laurent._prime_factors(m)
     lengths = range(len(phi.coeffs), m)
     assert lengths
     for length in lengths:
@@ -313,7 +314,11 @@ def test_annihilator_pads_every_length_between_phi_and_m(m):
         for r, expected in ((multiple, True), (last, False), (first, False)):
             assert len(r) == length
             assert laurent._phi_divides_residue(r, m) is expected, (length, r)
-            assert laurent._phi_divides_residue(laurent._Residue(r), m) is expected, (length, r)
+            # the annihilator alone, at a bit width below a whole byte, as
+            # freshman's dream packs its residues
+            w = max(map(abs, r)).bit_length() + len(primes) + 2
+            packed = sum(c << w * i for i, c in enumerate(r))
+            assert laurent._annihilates(packed, m, w, primes) is expected, (length, r)
             assert divides(phi, LaurentPoly(0, r)) is expected, (length, r)
 
 

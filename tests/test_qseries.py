@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qneg import laurent, qseries
-from qneg.laurent import ONE, ZERO, LaurentPoly, cyclotomic_poly, divides
+from qneg.laurent import ONE, ZERO, InvariantError, LaurentPoly, cyclotomic_poly, divides
 from qneg.qbinom import qbinom
 from qneg.qseries import (
     Direction,
@@ -353,6 +353,60 @@ def test_chu_vandermonde_rejects_mixed_signs():
         verify_chu_vandermonde(-2, 3, -4)
 
 
+def _chu_case(n, m, k):
+    """(n, m, k) moved into the branch of the identity its k selects."""
+    return (n, m, k) if k >= 0 else (-abs(n) - 1, -abs(m) - 1, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-12, 12))
+def test_packed_chu_sum_decides_as_the_exact_sum(n, m, k):
+    # vanishing terms, [n, j] = 0 for 0 <= n < j, stay in the sum
+    terms, rhs = qseries._chu_sides(*_chu_case(n, m, k))
+    exact = laurent._products_sum(terms)
+    assert exact == rhs
+    for c in (rhs, rhs.shift(1), rhs + LaurentPoly.q_power(exact.valuation() - 1), -rhs):
+        assert laurent._products_sum_equals(terms, c) is (exact == c)
+
+
+@pytest.mark.parametrize("case", [(-3, -1, 4), (12, 7, 9), (-20, 15, 12), (-5, -4, -10)])
+def test_packed_chu_rejections_are_confirmed_by_the_exact_sum(monkeypatch, case):
+    sums, products_sum = [], laurent._products_sum
+
+    def recording(terms):
+        sums.append(products_sum(terms))
+        return sums[-1]
+
+    monkeypatch.setattr(qseries, "_products_sum", recording)
+    terms, rhs = qseries._chu_sides(*case)
+    assert verify_chu_vandermonde(*case) and not sums
+    # negative controls: the right side times q, and one product plus 1
+    a, b, e = terms[-1]
+    plus_one = [*terms[:-1], (a * b + 1, ONE, e)]
+    for sides in ((terms, rhs.shift(1)), (plus_one, rhs)):
+        monkeypatch.setattr(qseries, "_chu_sides", lambda n, m, k, sides=sides: sides)
+        assert not verify_chu_vandermonde(*case)
+        assert sums.pop() != sides[1] and not sums
+
+
+def test_packed_chu_rejecting_a_true_identity_raises(monkeypatch):
+    monkeypatch.setattr(qseries, "_products_sum_equals", lambda terms, c: False)
+    with pytest.raises(InvariantError):
+        verify_chu_vandermonde(-3, -1, 4)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 16])
+def test_pack_is_exact_at_each_slot_width_sign_boundary(width):
+    # +-(2^(8 width - 1) - 1) are the largest magnitudes `width` bytes hold
+    # in two's complement; the value is the polynomial at q = 2^(8 width).
+    # The widths are those `_slot_width` gives: machine words, or past 8
+    x = 2 ** (8 * width - 1) - 1
+    for coeffs in ([x], [-x], [x, -x, 0, -x, x], [-x, 1, -1, x, 0, 0, -x]):
+        expect = sum(c << 8 * width * i for i, c in enumerate(coeffs))
+        assert laurent._pack(coeffs, width) == expect, coeffs
+    assert laurent._pack([], width) == 0
+
+
 # -- freshman's dream ------------------------------------------------------------------
 
 
@@ -364,8 +418,17 @@ def test_freshman_congruence_small():
 
 
 def test_freshman_congruence_range():
-    for m in range(2, 13):
-        assert freshman_congruence(m), m
+    # 181 is the largest modulus `verify freshman` admits
+    assert [m for m in range(2, 182) if not freshman_congruence(m)] == []
+
+
+def test_freshman_congruence_confirms_each_rejected_residue(monkeypatch):
+    # an annihilator that rejected a true residue would be caught by the
+    # long division that confirms every rejection
+    monkeypatch.setattr(qseries, "_annihilates", lambda r, m, w, primes: False)
+    for m in (2, 6, 7):
+        with pytest.raises(InvariantError):
+            freshman_congruence(m)
 
 
 def test_freshman_congruence_rejects_small_m():
@@ -388,15 +451,30 @@ def _recorded_chains(monkeypatch, perturb=None):
     return chains
 
 
+def _freshman_width(m):
+    """The bits a slot that `freshman_congruence` packs its residues at."""
+    return m + len(laurent._prime_factors(m)) + 2
+
+
+def _packed_fold(a, m, w):
+    """The fold of `a` modulo q^m - 1 evaluated at q = 2**w, reduced modulo
+    2**(w*m) - 1, term by term: the reference for the packed residues."""
+    return sum(c << w * i for i, c in enumerate(laurent._fold(a, m, 0, m))) % ((1 << m * w) - 1)
+
+
 def test_freshman_residue_chain_is_the_fold_of_the_exact_chain(monkeypatch):
     chains = _recorded_chains(monkeypatch)
     for m in range(2, 41):
         exact = power_xy(m, FZ, m + 1)
+        w = _freshman_width(m)
         chains.clear()
         assert freshman_congruence(m), m
         [residues] = [c for c in chains if len(c) == m + 1]
-        for k in range(1, m):
-            assert residues[k] == laurent._fold(exact.coefficient(k), m, 0, m), (m, k)
+        for k in range(m + 1):
+            expect = _packed_fold(exact.coefficient(k), m, w)
+            assert residues[k] % ((1 << m * w) - 1) == expect, (m, k)
+            slots = laurent._residue_slots(residues[k], m, w)
+            assert slots == laurent._fold(exact.coefficient(k), m, 0, m), (m, k)
 
 
 @pytest.mark.parametrize("n", range(-12, 13))
@@ -404,11 +482,25 @@ def test_residue_chain_is_the_fold_of_the_exact_chain_at_any_n(n):
     # at n = m the chain gives the same residues with every shift inverted,
     # so only other n catch a rotation the wrong way; n < 0 runs differences
     for m in range(2, 8):
-        unit = laurent._fold(ONE, m, 0, m)
         for exponent in (qseries._xy_exponent, lambda j, i: j):
-            window = qseries._factor_chain(n, 9, exponent, unit)
+            window = qseries._factor_chain(n, 9, exponent, 1, laurent._rotation(m, 64))
             exact = qseries._factor_chain(n, 9, exponent)
-            assert window == [laurent._fold(c, m, 0, m) for c in exact]
+            assert [r % ((1 << 64 * m) - 1) for r in window] == [_packed_fold(c, m, 64) for c in exact]
+
+
+@pytest.mark.parametrize("n", [-1, -2, -17, -40])
+def test_residue_chain_of_a_negative_power_is_the_fold_of_the_exact_chain(n):
+    # for n < 0 every entry comes from subtractions, so packed residues go
+    # negative; the Pochhammer exponent s = j is that of the folded q-Lucas
+    # chain.  Each slot is packed at the fewest bits that hold it with its
+    # sign, so the rotations and the unpacking run at their tightest
+    for m in (2, 3, 5, 6, 12, 30):
+        for exponent in (qseries._xy_exponent, lambda j, i: j):
+            exact = qseries._factor_chain(n, 13, exponent)
+            folds = [laurent._fold(c, m, 0, m) for c in exact]
+            w = max(abs(s) for fold in folds for s in fold).bit_length() + 1
+            window = qseries._factor_chain(n, 13, exponent, 1, laurent._rotation(m, w))
+            assert [laurent._residue_slots(r, m, w) for r in window] == folds, (m, w)
 
 
 @pytest.mark.parametrize("m", [2, 3, 6, 7, 12, 30])
@@ -420,9 +512,7 @@ def test_freshman_congruence_rejects_one_perturbed_interior_slot(monkeypatch, m)
 
     def perturb(chain):
         if len(chain) == m + 1:
-            slots = list(chain[k])
-            slots[j] += 1
-            chain[k] = type(chain[k])(slots)
+            chain[k] += 1 << j * _freshman_width(m)
 
     _recorded_chains(monkeypatch, perturb)
     assert not freshman_congruence(m), (k, j)
@@ -448,7 +538,7 @@ def test_freshman_congruence_rejects_a_rotated_last_residue(monkeypatch, m):
 
         def perturb(chain, end=end):
             if len(chain) == m + 1:
-                chain[end] = chain[end].shift(1)
+                chain[end] = laurent._rotation(m, _freshman_width(m))(chain[end], 1)
 
         with monkeypatch.context() as patch:
             _recorded_chains(patch, perturb)

@@ -96,6 +96,11 @@ def _suite_pascal(ns) -> Iterator[Case]:
     from .laurent import ONE, LaurentPoly
     from .qbinom import qbinom
 
+    def cross(x, e):
+        # (1 - q^e) * x; 1 - q^e holds |e| + 1 coefficients, so it is
+        # formed only to multiply a nonzero x
+        return (ONE - LaurentPoly.q_power(e)) * x if x.coeffs else x
+
     for n, k in box:
         case = f"pascal n={n} k={k}"
         if (n, k) == (0, 0):
@@ -105,8 +110,7 @@ def _suite_pascal(ns) -> Iterator[Case]:
         ok = lhs == qbinom(n - 1, k - 1) + qbinom(n - 1, k).shift(k)
         ok = ok and lhs == qbinom(n - 1, k - 1).shift(n - k) + qbinom(n - 1, k)
         if ok and k != 0:
-            cross = (ONE - LaurentPoly.q_power(k)) * lhs
-            ok = cross == (ONE - LaurentPoly.q_power(n)) * qbinom(n - 1, k - 1)
+            ok = cross(lhs, k) == cross(qbinom(n - 1, k - 1), n)
         yield case, ok
 
 

@@ -487,13 +487,14 @@ def _phi_divides_residue(r: Sequence[int], m: int) -> bool:
 
     Phi_m is monic, so dividing by it over Z and over Q agree, and Phi_m
     divides an r of degree below m exactly when r(zeta_m) = 0.  If r is
-    shorter than phi(m) + 1, that means r = 0.  Otherwise r is packed by
-    `_pack`, a residue modulo q^m - 1, at w >= bit_length(max|r|) +
-    omega(m) + 2 bits a slot, as `_slot_width` rounds it, and
-    `_annihilates` multiplies it by E = prod over primes p | m of
-    (1 - q^(m/p)).  E vanishes at zeta_d for every proper divisor
-    d of m, since some p has d | m/p, and not at zeta_m; q^m - 1 is
-    squarefree, so E r = 0 there exactly when r(zeta_m) = 0.
+    shorter than phi(m) + 1, that means r = 0.  Otherwise r, padded to m
+    slots, is a residue modulo q^m - 1, and it is multiplied there by
+    E = prod over primes p | m of (1 - q^(m/p)) on exact ints, with no
+    packing: r - q^s r, s = m/p, is one list rotation and one slot-by-slot
+    subtraction, and the last prime's factor is zero exactly when r equals
+    its rotation, one list comparison.  E vanishes at zeta_d for every
+    proper divisor d of m, since some p has d | m/p, and not at zeta_m;
+    q^m - 1 is squarefree, so E r = 0 there exactly when r(zeta_m) = 0.
     """
     primes = _prime_factors(m)
     phi = m
@@ -501,8 +502,13 @@ def _phi_divides_residue(r: Sequence[int], m: int) -> bool:
         phi -= phi // p
     if len(r) <= phi:
         return not any(r)
-    width = _slot_width(max(max(r), -min(r)) << len(primes) + 1)
-    return _annihilates(_pack(r, width), m, 8 * width, primes)
+    r = [*r, *repeat(0, m - len(r))]
+    *firsts, last = primes
+    for p in firsts:
+        s = m // p
+        r = list(map(operator.sub, r, r[-s:] + r[:-s]))
+    s = m // last
+    return r == r[-s:] + r[:-s]
 
 
 def _confirm_rejection(r: Sequence[int], m: int) -> bool:
@@ -581,21 +587,27 @@ def congruent_mod(a: LaurentPoly, b: LaurentPoly, mod: CyclotomicModulus) -> boo
 
     Phi_m divides q^m - 1, and q^-v is a unit, so a and b may each be
     multiplied by q^-v and reduced modulo q^m - 1 first.  With v the lower
-    valuation of the two, that leaves a folded difference no longer than m
-    or than a - b, which ``_phi_divides_residue`` tests exactly, without
-    division; a - b itself is never formed.  Both sides go through the one
-    fold, whatever their span.  A rejection, which would report a
-    counterexample, is confirmed by ``divides``, the reference: only then
-    is Phi_m built and divided into the folded difference, and a
+    valuation of the two, read with the span from the sides themselves,
+    that leaves a folded difference no longer than m or than a - b, which
+    ``_phi_divides_residue`` tests exactly on its list of slots, with no
+    division and no packing; a - b itself is never formed.  Both sides go
+    through the one fold, whatever their span.  A rejection, which would
+    report a counterexample, is confirmed by ``divides``, the reference:
+    only then is Phi_m built and divided into the folded difference, and a
     disagreement raises InvariantError.
 
     >>> congruent_mod(LaurentPoly(-1, (1,)), LaurentPoly(2, (1,)), cyclotomic(3))
     True
     """
     m = mod.m
-    sides = [x for x in (a, b) if x.coeffs]
-    shift = min((x.val for x in sides), default=0)
-    size = min(m, max((x.degree() + 1 - shift for x in sides), default=0))
+    if not b.coeffs:
+        shift, end = a.val, a.val + len(a.coeffs)
+    elif not a.coeffs:
+        shift, end = b.val, b.val + len(b.coeffs)
+    else:
+        shift = min(a.val, b.val)
+        end = max(a.val + len(a.coeffs), b.val + len(b.coeffs))
+    size = min(m, end - shift)
     diff = list(map(operator.sub, _fold(a, m, shift, size), _fold(b, m, shift, size)))
     return _phi_divides_residue(diff, m) or _confirm_rejection(diff, m)
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -804,6 +805,25 @@ def test_verify_pascal_reports_skip(capsys):
     )
     assert code == 0
     assert out == "checked 48, passed 48, skipped 1\n"
+
+
+def test_verify_pascal_forms_no_dense_factor_for_a_zero_value(capsys):
+    # every value of these boxes is zero, while 1 - q^n or 1 - q^k would
+    # hold 10^11 coefficients, or 10^7 for the last, about 160 MB
+    boxes = [
+        (["--n", "100000000000..100000000011", "--k", "-1633..-1628"], 72),
+        (["--n", "5..5", "--k", "100000000000..100000000000"], 1),
+        (["--n", "10000000..10000000", "--k", "-1..-1"], 1),
+    ]
+    for args, count in boxes:
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "verify", "pascal", *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (0, f"checked {count}, passed {count}\n", ""), args
+        assert peak < 4_000_000, (args, peak)
 
 
 def test_verify_failure_exit_one(capsys, monkeypatch):

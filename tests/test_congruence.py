@@ -270,30 +270,43 @@ def test_folded_congruence_divides_no_more_than_the_difference(monkeypatch):
 
 def _seeded_multiples(m, count):
     """`count` seeded residues modulo q^m - 1 of Phi_m times a polynomial
-    of degree below m."""
+    of degree below m with coefficients in -9..9, then one more whose
+    multiplier's coefficients alternate in sign between 2**64 and 2**128."""
     rng = random.Random(m)
     phi = cyclotomic(m).phi
     for _ in range(count):
         g = LaurentPoly(0, [rng.randint(-9, 9) for _ in range(rng.randint(1, m))])
         yield laurent._fold(phi * g, m, 0, m)
+    g = [(-1) ** i * rng.randint(2**64, 2**128) for i in range(rng.randint(2, m))]
+    yield laurent._fold(phi * LaurentPoly(0, g), m, 0, m)
 
 
 @pytest.mark.parametrize("m", [*range(2, 131), 210, 330, 1155, 2310])
 def test_annihilator_agrees_with_long_division(m):
     # m runs over every prime power up to 128 and over omega(m) up to 5;
-    # each multiple plus q^j, for every slot j, is a negative control
+    # each multiple plus q^j, for every slot j, is a negative control, and
+    # the last multiple's slots pass 8 bytes
     phi = cyclotomic(m).phi.coeffs
+    primes = laurent._prime_factors(m)
     # long division of a residue of m = 1155 or 2310 slots takes 0.1 to 0.3 s,
     # so there it checks seeded slots and not all of them
     large = m > 330
     checked = random.Random(-m).sample(range(m), 4) if large else range(m)
-    for r in _seeded_multiples(m, 1 if large else 2):
+    *_, wide = multiples = list(_seeded_multiples(m, 1 if large else 2))
+    assert max(map(abs, wide)) > 2**64
+    for r in multiples:
+        # the packed annihilator, as freshman's dream runs it, at a width
+        # that holds E times every control
+        w = (max(map(abs, r)) + 1).bit_length() + len(primes) + 2
+        packed = sum(c << w * i for i, c in enumerate(r))
         assert laurent._phi_divides_residue(list(r), m)
+        assert laurent._annihilates(packed, m, w, primes)
         assert not any(laurent._divmod_monic(r, phi)[1])
         for j in range(m):
             control = list(r)
             control[j] += 1
             assert not laurent._phi_divides_residue(control, m), j
+            assert not laurent._annihilates(packed + (1 << w * j), m, w, primes), j
             if j in checked:
                 assert any(laurent._divmod_monic(control, phi)[1]), j
 
@@ -323,14 +336,18 @@ def test_annihilator_pads_every_length_between_phi_and_m(m):
 
 
 def test_congruent_mod_decides_qlucas_without_long_division(monkeypatch, capsys):
-    def refuse(num, den):
-        raise AssertionError("long division called")
+    def refuse(*args):
+        raise AssertionError("long division or packing called")
 
     monkeypatch.setattr(laurent, "_divmod_monic", refuse)
+    monkeypatch.setattr(laurent, "_pack", refuse)
     assert cli.main(["verify", "qlucas", "--m", "2..12", "--n", "-12..12", "--k", "-12..12"]) == 0
     assert capsys.readouterr().out == "checked 6875, passed 6875\n"
     for m in (6, 12, 30):
         assert congruent_mod(qbinom(-40, 17), q_lucas_rhs(-40, 17, m), cyclotomic(m))
+    # folded differences whose slots pass 8 bytes
+    for m in (30, 64):
+        assert congruent_mod(qbinom(200, 66), q_lucas_rhs(200, 66, m), cyclotomic(m))
 
 
 def test_congruent_mod_confirms_each_rejection_by_long_division(monkeypatch):

@@ -20,24 +20,30 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
+from itertools import accumulate, chain, product
 
 SCHEMA = "qneg/1"
 
-EXPAND_MODES = (
-    "noncommutative-from-zero",
-    "noncommutative-from-infinity",
-    "pochhammer",
-)
+EXPAND_MODES = ("noncommutative-from-zero", "noncommutative-from-infinity", "pochhammer")
 
-# qbinom(n, k) has k(n - k) + 1 coefficients for 0 <= k <= n, so a careless
-# argument can ask for billions.  The limit admits README's 81 x 81 table
-# (859,361 coefficients).  One value of a quarter of it, qbinom(1000, 500),
-# takes about 8 s as `qneg eval` on a 2-core x86-64 machine (CPython 3.11).
-MAX_COEFFICIENTS = 1_000_000
+# The work model: before any work, every command estimates from degrees and
+# range ends the 64-bit words its arithmetic writes, in four kinds of term:
+#   (a) a classical value [top, j], j <= top - j, walked cold: about
+#       j^2 (top - j) / 4 additions and its j (top - j) + 1 coefficients,
+#       each of at most the words of C(top, j);
+#   (b) a chain: its passes times the words of its window;
+#   (c) a big integer from math.comb, a packed product or text: words squared;
+#   (d) CASE for each case checked, term of a sum built or value printed,
+#       and TEXT for each coefficient printed.
+# Fitted on a 2-core x86-64 machine, CPython 3.11.7: a word of (a) to (c)
+# took 5 to 15 ns, a case 3 to 30 us, a printed coefficient 0.6 to 0.9 us.
+# The limit admits README's 81 x 81 table (6.8e7 words, 0.6 s) and `verify
+# qlucas --m 2..130` (2.1e8, 1.9 s); it refuses `eval --n 1000 --k 500`
+# (5.2e8, 5.4 s).
+MAX_WORDS, CASE, TEXT = 300_000_000, 1_000, 64
 SIZE_NOTE = (
-    f"A request whose values hold more than {MAX_COEFFICIENTS:,} coefficients "
-    "in all (a zero value counts as one; with --q1, a value counts as a bound "
-    "on its decimal digits) is refused with exit status 2."
+    "A request whose arithmetic, by an estimate made before any work, writes "
+    f"more than {MAX_WORDS:,} 64-bit words is refused with exit status 2."
 )
 
 Outcome = bool | str  # True, False, or "skip"
@@ -50,11 +56,7 @@ RANGE_FLAGS = ("--n", "--k", "--m", "--p")
 def parse_range(text: str) -> tuple[int, int]:
     """Parse inclusive "lo..hi" (or a single integer) into (lo, hi)."""
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(text)
+        lo, hi = map(int, text.split("..", 1) if ".." in text else (text, text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed range {text!r}, expected lo..hi")
     if lo > hi:
@@ -76,23 +78,80 @@ def _span(rng: tuple[int, int] | None, lo: int, hi: int) -> range:
     return range(lo, hi + 1)
 
 
+# -- the work model -----------------------------------------------------------
+
+
+def _cells(*ranges: range) -> int:
+    return math.prod(r.stop - r.start for r in ranges)  # len() overflows past sys.maxsize
+
+
+def _words(bits: int) -> int:
+    return bits // 64 + 1
+
+
+def _apery_words(m: int) -> int:
+    return _words(m * 5088 // 1000)  # A(m) <= P_m(3)^2 < 34^m, and log2(34) < 5.088
+
+
+def _shape(n: int, k: int) -> tuple[int, int, int, int]:
+    """(top, j, size, words): by the reflections, qbinom(n, k) is a sign times
+    q^e [top, j], j <= top - j, of size = j(top - j) + 1 coefficients of at most
+    the words of C(top, j) <= min(2**top, (e * top / j)**j); (0, 0, 0, 1) for 0."""
+    top, j = (n, k) if n >= 0 else (k - n - 1, k) if k >= 0 else (-k - 1, -n - 1)
+    if not 0 <= j <= top:
+        return 0, 0, 0, 1
+    j = min(j, top - j)
+    return top, j, j * (top - j) + 1, _words(min(top, j * (top.bit_length() - j.bit_length() + 3)))
+
+
+def _walk(n: int, k: int) -> int:
+    """Term (a) for qbinom(n, k); 0 for a zero."""
+    _, j, size, words = _shape(n, k)
+    return (j * (size - 1) // 4 + size) * words
+
+
+def _check(work: Iterable[int], cases: int = 0) -> None:
+    """Refuse, as a usage error, a request past MAX_WORDS: CASE words for each
+    case, then the terms of work up to the first past the limit, if any."""
+    total = next((t for t in accumulate(work, initial=cases * CASE) if t > MAX_WORDS), 0)
+    if total:
+        raise ValueError(
+            f"the result is too large ({total:,} words by estimate; the limit is {MAX_WORDS:,})"
+        )
+
+
+def _check_text(bits: int, name: str) -> None:
+    """Refuse an integer of at least 2**bits past the int-to-text limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and bits * 30102 // 100000 > limit:
+        raise _too_long(name)
+
+
 # -- verification suites ----------------------------------------------------
 #
 # Each suite streams (case id, outcome) in a fixed order; the aggregate
 # report is therefore deterministic however the sweep is scheduled.
 
 
-def _box(ns, half: int) -> Iterator[tuple[int, int]]:
+def _box(ns, half: int, cost: Callable[[int, int], int] = _walk) -> Iterator[tuple[int, int]]:
     """The (n, k) pairs of --n x --k, each -half..half by default, n-major,
-    after the size guard on their values."""
+    after the size guard on the cost of each, by default the walk to it."""
     n_values, k_values = _span(ns.n, -half, half), _span(ns.k, -half, half)
-    _check_size(n_values, k_values, False)
+    _check((cost(n, k) for n in n_values for k in k_values), _cells(n_values, k_values))
     return ((n, k) for n in n_values for k in k_values)
+
+
+def _pascal_cost(n: int, k: int) -> int:
+    # the value, its neighbours, and for k != 0 the packed products of
+    # 1 - q^k with [n, k] and of 1 - q^n with [n - 1, k - 1], at (c)
+    walks = _walk(n, k) + _walk(n - 1, k - 1) + _walk(n - 1, k)
+    crosses = ((k, *_shape(n, k)[2:]), (n, *_shape(n - 1, k - 1)[2:])) if k else ()
+    return walks + sum((abs(e) + 1) * size * words * words for e, size, words in crosses)
 
 
 def _suite_pascal(ns) -> Iterator[Case]:
     # q-Pascal, its alternate form, and the absorption identity.
-    box = _box(ns, 12)
+    box = _box(ns, 12, _pascal_cost)
     from .laurent import ONE, LaurentPoly
     from .qbinom import qbinom
 
@@ -156,11 +215,19 @@ def _suite_degrees(ns) -> Iterator[Case]:
         yield f"degrees n={n} k={k}", ok
 
 
+def _subsets_cost(n: int, k: int) -> int:
+    # the value; the |n| + 1 rows of qbinom_pascal, of at most |n| + |k| + 2
+    # cells no larger than it (none for n >= 0 off the classical region); the
+    # C(top, j) subsets of top + 1 words twice, if the walk fits: C is fast
+    top, j, size, words = _shape(n, k)
+    walk = _walk(n, k)
+    rows = abs(n) + 1 if n < 0 or size else 0
+    subsets = math.comb(top, j) if size and walk <= MAX_WORDS else 0
+    return walk + rows * (abs(n) + abs(k) + 2) * (size * words + 1) + 2 * subsets * (top + 1)
+
+
 def _suite_subsets(ns) -> Iterator[Case]:
-    box = list(_box(ns, 7))
-    # each of the |binom(n, k)| = comb(top, j) subsets is enumerated
-    pairs = (_classical_pair(n, k) for n, k in box)
-    _check_total((math.comb(t, j) if 0 <= j <= t else 0 for t, j in pairs), "subsets")
+    box = _box(ns, 7, _subsets_cost)
     from .hybridset import qbinom_via_subsets, subset_count
     from .qbinom import binom, qbinom, qbinom_pascal
 
@@ -186,9 +253,15 @@ def _suite_chu(ns) -> Iterator[Case]:
             negative_n = range(nspan.start, min(nspan.stop, 0))
             yield from ((n, m, k) for n in negative_n for m in negative_m for k in ks)
 
-    # the sum has up to |k| + 1 terms, each counted at the size of [n + m, k]
-    sizes = ((abs(k) + 1) * _value_size(n + m, k, False) for n, m, k in triples())
-    _check_total(sizes, "coefficients")
+    def cost(n: int, m: int, k: int) -> Iterator[int]:
+        # each of the |k| + 1 terms a case, the walks to its values, and
+        # their product packed in slots of the words of both, at (c)
+        yield (abs(k) + 1) * CASE + _walk(n + m, k) + math.prod(_shape(n + m, k)[2:])
+        for i in range(0, k + 1) if k >= 0 else range(-1, k, -1):
+            (_, _, a, u), (_, _, b, v) = _shape(n, i), _shape(m, k - i)
+            yield _walk(n, i) + _walk(m, k - i) + a * b * (u + v) ** 2
+
+    _check(chain.from_iterable(cost(*t) for t in triples()))
     from .qseries import verify_chu_vandermonde
 
     for n, m, k in triples():
@@ -210,10 +283,22 @@ def _series(n: int, mode: str, trunc: int) -> list[tuple]:
     return [(k, series.coefficient(k)) for k in ks]
 
 
+def _check_series(n_values: range, trunc: int, chains: int, each=_walk) -> None:
+    """The size guard on `chains` windows of `trunc` entries, each a case: |n|
+    passes of each chain over the values [n, i] it holds, and each(n, k)."""
+
+    def cost(n: int) -> int:
+        size = trunc if n < 0 else min(trunc, n + 1)
+        window = sum(math.prod(_shape(n, i)[2:]) for i in range(size)) if size > 1 else 0
+        return chains * abs(n) * window + sum(each(n, k) for k in range(trunc))
+
+    _check(map(cost, n_values), chains * _cells(n_values, range(trunc)))
+
+
 def _suite_qbt(ns) -> Iterator[Case]:
     # Commutative q-binomial theorem for the shifted factorial.
     n_values = _span(ns.n, -5, 5)
-    _check_size(n_values, range(ns.trunc), False)
+    _check_series(n_values, ns.trunc, 1)
     from .qbinom import qbinom
 
     for n in n_values:
@@ -226,7 +311,7 @@ def _suite_ncqbt(ns) -> Iterator[Case]:
     n_values = _span(ns.n, -6, 6)
     # qbinom(n, k) = qbinom(n, n - k): the window from infinity holds the
     # values of the window from zero
-    _check_size(n_values, range(ns.trunc), False, copies=2)
+    _check_series(n_values, ns.trunc, 2)
     from .qbinom import qbinom
 
     for n in n_values:
@@ -237,17 +322,15 @@ def _suite_ncqbt(ns) -> Iterator[Case]:
 
 def _suite_lucas(ns) -> Iterator[Case]:
     p_values, n_values, k_values = _span(ns.p, 2, 11), _span(ns.n, -50, 50), _span(ns.k, -50, 50)
-    # each case counts one, and the largest binom(n, k) that a case builds,
-    # below 2^(|n| + |k|) on every region, counts its digits
+    # every p counts, and a case computes binomials of at most the words of
+    # |binom(n, k)| < 2^(|n| + |k|), at (c)
+    cases = _cells(p_values, n_values, k_values)
     bits = max(-n_values[0], n_values[-1]) + max(-k_values[0], k_values[-1])
-    cases = (p_values.stop - p_values.start) * (n_values.stop - n_values.start)
-    cases *= k_values.stop - k_values.start
-    _check_total([cases, bits * 30103 // 100000 + 1], "digits")
+    _check([cases * _words(bits) ** 2], cases)
     from .congruence import is_prime, lucas_product, verify_lucas
     from .qbinom import binom
 
-    primes = [p for p in p_values if is_prime(p)]
-    for p in primes:
+    for p in [p for p in p_values if is_prime(p)]:
         for n in n_values:
             for k in k_values:
                 ok = verify_lucas(n, k, p)
@@ -259,9 +342,19 @@ def _suite_qlucas(ns) -> Iterator[Case]:
     moduli = _span(ns.m, 2, 9)
     if moduli[0] < 2:
         raise ValueError(f"modulus must be at least 2, got {moduli[0]}")
-    # each case folds into at most m slots, so a modulus counts m
-    _check_total(moduli, "coefficients")
-    box = list(_box(ns, 15))
+    n_values, k_values = _span(ns.n, -15, 15), _span(ns.k, -15, 15)
+    cells, count = _cells(n_values, k_values), _cells(moduli)
+    # each case folds both sides into at most m slots; each value of the box
+    # is walked once and folded once a modulus; and the right sides walk to
+    # [n0, k0] for the low digits n0, k0 base m of the box
+    digits = (product({n % m for n in n_values}, {k % m for k in k_values}) for m in moduli)
+    work = chain(
+        [cells * (moduli.start + moduli.stop - 1) * count // 2],
+        (_walk(n, k) + count * math.prod(_shape(n, k)[2:]) for n in n_values for k in k_values),
+        (_walk(a, b) for pairs in digits for a, b in pairs),
+    )
+    _check(work, cells * count)
+    box = [(n, k) for n in n_values for k in k_values]
     from .congruence import verify_q_lucas
 
     for m in moduli:
@@ -271,7 +364,11 @@ def _suite_qlucas(ns) -> Iterator[Case]:
 
 def _suite_freshman(ns) -> Iterator[Case]:
     moduli = _span(ns.m, 2, 12)
-    _check_size(moduli, range(moduli[-1] + 1), False)
+    # freshman_congruence refuses a modulus below 2 at once; any other m
+    # takes m passes over m + 1 residues of m slots of m + omega(m) + 2 bits
+    counted = range(max(moduli.start, 2), max(moduli.stop, 2))
+    work = (m * (m + 1) * _words(m * (m + m.bit_length() + 2) - 1) for m in counted)
+    _check(work, _cells(counted))
     from .qseries import freshman_congruence
 
     for m in moduli:
@@ -279,27 +376,18 @@ def _suite_freshman(ns) -> Iterator[Case]:
 
 
 APERY_CONGRUENCE_CASES = (
-    (5, 1, 1, "beukers"),
-    (5, 1, 5, "beukers"),
-    (5, 1, 1, "coster"),
-    (5, 1, 2, "coster"),
-    (5, 2, 1, "coster"),
-)
-
-
-def _apery_digits(m: int) -> int:
-    """A bound on the decimal digits of A(m), m >= 0.  With
-    t_k = C(m, k) C(m + k, k), A(m) is at most (sum of t_k)^2 = P_m(3)^2,
-    and Laplace's integral for the Legendre polynomial gives
-    P_m(3) <= (3 + 2 sqrt 2)^m, so A(m) < 34^m for m >= 1: it has at most
-    m log10(34) + 1 digits, log10(34) < 1.5315."""
-    return m * 15315 // 10000 + 1
+    (5, 1, 1, "beukers"), (5, 1, 5, "beukers"),
+    (5, 1, 1, "coster"), (5, 1, 2, "coster"), (5, 2, 1, "coster"),
+)  # fmt: skip
 
 
 def _suite_apery(ns) -> Iterator[Case]:
     n_values = _span(ns.n, 0, 25)
-    # the sum at -n has at most |n| + 1 terms, each at most A(|n|) or A(|n| - 1)
-    _check_total(((abs(n) + 1) * _apery_digits(abs(n)) for n in n_values), "digits")
+    # Apery's recurrence runs once to the largest |n|, two integers a pass;
+    # the sum at -n multiplies out at most |n| + 5 terms of at most A(|n|)
+    top = max(-n_values[0], n_values[-1])
+    work = ((abs(n) + 5) * _apery_words(abs(n)) ** 2 for n in n_values)
+    _check(chain([2 * top * _apery_words(top)], work), _cells(n_values) + 5)
     from .apery import verify_apery_congruence, verify_apery_symmetry
 
     for n in n_values:
@@ -310,20 +398,11 @@ def _suite_apery(ns) -> Iterator[Case]:
 
 
 SUITES: dict[str, Callable[[argparse.Namespace], Iterator[Case]]] = {
-    "pascal": _suite_pascal,
-    "symmetry": _suite_symmetry,
-    "reflection": _suite_reflection,
-    "qinv": _suite_qinv,
-    "degrees": _suite_degrees,
-    "subsets": _suite_subsets,
-    "chu": _suite_chu,
-    "qbt": _suite_qbt,
-    "ncqbt": _suite_ncqbt,
-    "lucas": _suite_lucas,
-    "qlucas": _suite_qlucas,
-    "freshman": _suite_freshman,
-    "apery": _suite_apery,
-}
+    "pascal": _suite_pascal, "symmetry": _suite_symmetry, "reflection": _suite_reflection,
+    "qinv": _suite_qinv, "degrees": _suite_degrees, "subsets": _suite_subsets, "chu": _suite_chu,
+    "qbt": _suite_qbt, "ncqbt": _suite_ncqbt, "lucas": _suite_lucas, "qlucas": _suite_qlucas,
+    "freshman": _suite_freshman, "apery": _suite_apery,
+}  # fmt: skip
 
 
 # -- subcommands --------------------------------------------------------------
@@ -343,52 +422,6 @@ def _emit(ns, lines: Callable[[], Iterable[str]], body: Callable[[], dict]) -> N
             print(line)
 
 
-def _classical_pair(n: int, k: int) -> tuple[int, int]:
-    """(top, j): qbinom(n, k) is a sign and a power of q times the classical
-    [top, j], of j(top - j) + 1 coefficients and comb(top, j) at q = 1, when
-    0 <= j <= top, by the reflections, and zero otherwise."""
-    return (n, k) if n >= 0 else (k - n - 1, k) if k >= 0 else (-k - 1, -n - 1)
-
-
-def _value_size(n: int, k: int, q1: bool) -> int:
-    """The coefficients of qbinom(n, k), or with q1 an upper bound on the
-    decimal digits of binom(n, k); a zero counts as one."""
-    top, j = _classical_pair(n, k)
-    if not 0 <= j <= top:
-        return 1
-    if not q1:
-        return j * (top - j) + 1
-    # comb(top, j) <= min(2**top, (e * top / j)**j) < 2**bits
-    j = min(j, top - j)
-    bits = min(top, j * (top.bit_length() - j.bit_length() + 3))
-    return bits * 30103 // 100000 + 1
-
-
-def _check_size(n_values: range, k_values: range, q1: bool, copies: int = 1) -> None:
-    """Refuse, as a usage error, a grid whose values, each held `copies`
-    times, hold more than MAX_COEFFICIENTS coefficients, or with q1 digits,
-    in all."""
-    sizes = (copies * _value_size(n, k, q1) for n in n_values for k in k_values)
-    # each value counts one or more, so a grid of more cells than the limit,
-    # or of none, needs no count; range ends, not len(), count any length
-    cells = copies * (n_values.stop - n_values.start) * (k_values.stop - k_values.start)
-    counted = sizes if 0 < cells <= MAX_COEFFICIENTS else [cells]
-    _check_total(counted, "digits" if q1 else "coefficients")
-
-
-def _check_total(sizes: Iterable[int], unit: str) -> None:
-    """Refuse, as a usage error, sizes that sum to more than MAX_COEFFICIENTS.
-    The sum stops at the first size that takes it past the limit."""
-    from itertools import accumulate
-
-    total = next((t for t in accumulate(sizes) if t > MAX_COEFFICIENTS), 0)
-    if total:
-        raise ValueError(
-            f"the result is too large ({total:,} {unit} by estimate; "
-            f"the limit is {MAX_COEFFICIENTS:,})"
-        )
-
-
 def _too_long(name: str) -> ValueError:
     return ValueError(
         f"{name} has more than {sys.get_int_max_str_digits():,} "
@@ -403,10 +436,20 @@ def _int_text(value: int, name: str) -> str:
         raise _too_long(name) from None
 
 
+def _binom(n: int, k: int) -> int:
+    """Term (c) for binom(n, k) and its text, after the int-to-text check."""
+    top, j, _, words = _shape(n, k)
+    # C(top, j) >= C(2j, j) >= 4^j / (2j + 1), and C(top, j) >= (top / j)^j
+    bits = max(2 * j - (2 * j + 1).bit_length(), j * (top.bit_length() - j.bit_length() - 1))
+    _check_text(bits, f"binom({n}, {k})")
+    return 2 * words * words
+
+
 def _grid(n_values: range, k_values: range, q1: bool) -> list[list]:
     """The rows of values over n_values x k_values, after the size guard:
     Laurent polynomials, or with q1 the decimal text of the integers."""
-    _check_size(n_values, k_values, q1)
+    cost = _binom if q1 else lambda n, k: _walk(n, k) + TEXT * _shape(n, k)[2]
+    _check((cost(n, k) for n in n_values for k in k_values), _cells(n_values, k_values))
     from .qbinom import binom, qbinom
 
     if q1:
@@ -419,6 +462,9 @@ def _eval(ns):
 
 
 def _lucas(ns) -> int:
+    # a divmod of n and of k for each digit base p, at most their bits of them
+    bits = max(abs(ns.n), abs(ns.k)).bit_length()
+    _check([bits * _words(bits)], 1)
     from .congruence import lucas_product
 
     return lucas_product(ns.n, ns.k, ns.p)
@@ -427,11 +473,11 @@ def _lucas(ns) -> int:
 def _qlucas(ns):
     if ns.m < 2:
         raise ValueError(f"modulus must be at least 2, got {ns.m}")
-    # q_lucas_rhs multiplies qbinom(n0, k0) by the integer binom(n1, k1), so
-    # each of its coefficients has at most the digits of that integer
-    n1, n0 = divmod(ns.n, ns.m)
-    k1, k0 = divmod(ns.k, ns.m)
-    _check_total([_value_size(n0, k0, False) * _value_size(n1, k1, True)], "digits")
+    # q_lucas_rhs multiplies qbinom(n0, k0) by the integer binom(n1, k1),
+    # and each coefficient of the product is written out at (c)
+    (n1, n0), (k1, k0) = divmod(ns.n, ns.m), divmod(ns.k, ns.m)
+    (_, _, size, words), big = _shape(n0, k0), _shape(n1, k1)[3]
+    _check([_walk(n0, k0) + big * big + size * (TEXT + (words + big) ** 2)], 1)
     from .congruence import q_lucas_rhs
 
     return q_lucas_rhs(ns.n, ns.k, ns.m)
@@ -439,14 +485,11 @@ def _qlucas(ns):
 
 def _apery(ns) -> str:
     # A(n) = A(-n - 1) is at least its k = m term, C(2m, m)^2 >= 16^m / (4m),
-    # so it has more than (4m - log2(4m)) log10(2) digits, and log2(4m) is
-    # below (4m).bit_length(), log10(2) above 0.30102.  Without a limit, the
-    # digit bound of A(m) is held to MAX_COEFFICIENTS.
+    # and log2(4m) is below (4m).bit_length()
     m = max(ns.n, -ns.n - 1)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and (4 * m - (4 * m).bit_length()) * 30102 // 100000 > limit:
-        raise _too_long(f"A({ns.n})")
-    _check_total([_apery_digits(m)], "digits")
+    _check_text(4 * m - (4 * m).bit_length(), f"A({ns.n})")
+    # the recurrence runs m passes over two integers, then A(n) is written out
+    _check([(2 * m + _apery_words(m)) * _apery_words(m)], 1)
     from .apery import apery
 
     return _int_text(apery(ns.n), f"A({ns.n})")
@@ -466,8 +509,7 @@ def _cmd_value(ns) -> int:
 
 
 def _cmd_table(ns) -> int:
-    n_values = range(ns.n[0], ns.n[1] + 1)
-    k_values = range(ns.k[0], ns.k[1] + 1)
+    n_values, k_values = range(ns.n[0], ns.n[1] + 1), range(ns.k[0], ns.k[1] + 1)
     rows = list(zip(n_values, _grid(n_values, k_values, ns.q1)))
 
     def lines() -> Iterator[str]:
@@ -475,34 +517,19 @@ def _cmd_table(ns) -> int:
         for n, values in rows:
             yield f"{n}\t" + "\t".join(map(str, values))
 
-    _emit(
-        ns,
-        lines,
-        lambda: {
-            "q1": ns.q1,
-            "cells": [
-                {"n": n, "k": k, "value": v} for n, values in rows for k, v in zip(k_values, values)
-            ],
-        },
-    )
+    cells = ({"n": n, "k": k, "value": v} for n, values in rows for k, v in zip(k_values, values))
+    _emit(ns, lines, lambda: {"q1": ns.q1, "cells": list(cells)})
     return 0
 
 
 def _cmd_expand(ns) -> int:
     # qbinom(n, k) = qbinom(n, n - k), so every mode's window holds the
     # values [n, 0], [n, 1], ..., in that order
-    _check_size(range(ns.n, ns.n + 1), range(ns.trunc), False)
+    _check_series(range(ns.n, ns.n + 1), ns.trunc, 1, lambda n, k: TEXT * _shape(n, k)[2])
     terms = _series(ns.n, ns.mode, ns.trunc)
-    _emit(
-        ns,
-        lambda: (f"C({k}) = {c}" for k, c in terms),
-        lambda: {
-            "n": ns.n,
-            "mode": ns.mode,
-            "truncation": ns.trunc,
-            "terms": [{"k": k, "value": c} for k, c in terms],
-        },
-    )
+    body = {"n": ns.n, "mode": ns.mode, "truncation": ns.trunc}
+    text = (f"C({k}) = {c}" for k, c in terms)
+    _emit(ns, lambda: text, lambda: {**body, "terms": [{"k": k, "value": c} for k, c in terms]})
     return 0
 
 
@@ -525,68 +552,46 @@ def _cmd_verify(ns) -> int:
             print(f"FAIL {case}", file=sys.stderr)
         yield f"checked {checked}, passed {passed}" + (f", skipped {skipped}" if skipped else "")
 
-    _emit(
-        ns,
-        report,
-        lambda: {
-            "suite": ns.suite,
-            "checked": checked,
-            "passed": passed,
-            "skipped": skipped,
-            "failures": failures,
-        },
-    )
+    body = {"suite": ns.suite, "checked": checked, "passed": passed, "skipped": skipped}
+    _emit(ns, report, lambda: {**body, "failures": failures})
     return 0 if not failures else 1
 
 
 # -- command table ------------------------------------------------------------
 #
 # One row per subcommand: its help, its options as add_argument keywords by
-# flag, its handler and its epilog.  A one-value command runs _cmd_value, and
-# its row also gives the function that computes the value and the JSON key
-# the value goes under.
+# flag and its handler.  A one-value command runs _cmd_value, and its row
+# also gives the function that computes the value and the JSON key the value
+# goes under.  Every subcommand's epilog is SIZE_NOTE.
 
-Command = namedtuple(
-    "Command", "help args handler epilog value key", defaults=(None, None, "value")
-)
+Command = namedtuple("Command", "help args handler value key", defaults=(None, "value"))
 
 _INT = {"type": int, "required": True}
 _RANGE = {"type": parse_range, "required": True, "metavar": "LO..HI"}
 _Q1 = {"action": "store_true", "help": "evaluate at q = 1"}
 
+_NK = {"--n": _INT, "--k": _INT}
+_MODE = {"choices": EXPAND_MODES, "required": True}
+
 COMMANDS = {
-    "eval": Command(
-        "evaluate one coefficient",
-        {"--n": _INT, "--k": _INT, "--q1": _Q1},
-        _cmd_value,
-        SIZE_NOTE,
-        value=_eval,
-    ),
+    "eval": Command("evaluate one coefficient", {**_NK, "--q1": _Q1}, _cmd_value, _eval),
     "table": Command(
-        "emit a grid of values", {"--n": _RANGE, "--k": _RANGE, "--q1": _Q1}, _cmd_table, SIZE_NOTE
+        "emit a grid of values", {"--n": _RANGE, "--k": _RANGE, "--q1": _Q1}, _cmd_table
     ),
     "expand": Command(
         "series expansions",
-        {
-            "--n": _INT,
-            "--mode": {"choices": EXPAND_MODES, "required": True},
-            "--trunc": {"type": int, "default": 16},
-        },
+        {"--n": _INT, "--mode": _MODE, "--trunc": {"type": int, "default": 16}},
         _cmd_expand,
-        SIZE_NOTE,
     ),
     "lucas": Command(
         "digit-wise binomial residue mod a prime",
-        {"--n": _INT, "--k": _INT, "--p": _INT},
+        {**_NK, "--p": _INT},
         _cmd_value,
-        value=_lucas,
-        key="residue",
+        _lucas,
+        "residue",
     ),
     "qlucas": Command(
-        "q-Lucas right-hand side mod Phi_m",
-        {"--n": _INT, "--k": _INT, "--m": _INT},
-        _cmd_value,
-        value=_qlucas,
+        "q-Lucas right-hand side mod Phi_m", {**_NK, "--m": _INT}, _cmd_value, _qlucas
     ),
     "apery": Command("Apery number A(n)", {"--n": _INT}, _cmd_value, value=_apery),
     "verify": Command(
@@ -604,19 +609,14 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default text)",
+        "--format", choices=("text", "json"), default="text", help="output format (default text)"
     )
-
     parser = argparse.ArgumentParser(
-        prog="qneg",
-        description="Exact q-binomial coefficients for all integer arguments.",
+        prog="qneg", description="Exact q-binomial coefficients for all integer arguments."
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, row in COMMANDS.items():
-        command = sub.add_parser(name, parents=[common], help=row.help, epilog=row.epilog)
+        command = sub.add_parser(name, parents=[common], help=row.help, epilog=SIZE_NOTE)
         for flag, spec in row.args.items():
             command.add_argument(flag, **spec)
         command.set_defaults(handler=row.handler)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -143,32 +144,55 @@ def test_table_into_closed_pipe_exits_zero_silently():
     assert code == 0
 
 
+LIMIT = f"the limit is {cli.MAX_WORDS:,})"
+
+
+def _pair(n, k):
+    # the classical [top, j], j <= top - j, that qbinom(n, k) reflects onto
+    top, j = (n, k) if n >= 0 else (k - n - 1, k) if k >= 0 else (-k - 1, -n - 1)
+    return top, min(j, top - j)
+
+
+def _coeffs(n, k):
+    return len(qbinom(n, k).coeffs)
+
+
+def _walked(n, k):
+    # the cold walk to a value of one-word coefficients: j^2 (top - j) / 4
+    # additions, and its j (top - j) + 1 coefficients; nothing for a zero
+    size = _coeffs(n, k)
+    return _pair(n, k)[1] * (size - 1) // 4 + size if size else 0
+
+
 def test_eval_too_large_exits_two_at_once():
     # qbinom(100000, 50000) has 2.5e9 coefficients: without the size guard
     # this process runs for hours
     proc = run_process("eval", "--n", "100000", "--k", "50000")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and LIMIT in proc.stderr
 
 
 def test_verify_qlucas_refuses_a_huge_modulus_at_once():
-    # Phi_100000000 has 4e7 + 1 coefficients: without the guard this process
-    # builds them before it checks anything
-    argv = ["verify", "qlucas", "--m", "100000000", "--n", "0", "--k", "0"]
+    # a case counts the m slots that it may fold into: 10^9 words
+    argv = ["verify", "qlucas", "--m", "1000000000", "--n", "0", "--k", "0"]
     proc = run_process(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and LIMIT in proc.stderr
 
 
 def test_verify_qlucas_modulus_limit(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 9)
+    # one case, its m = 9 slots, the value [0, 0] walked and folded, and
+    # the right side [0, 0] walked
+    monkeypatch.setattr(cli, "MAX_WORDS", cli.CASE + 9 + 2 + 1)
     code, out, _ = run_cli(capsys, "verify", "qlucas", "--m", "9", "--n", "0", "--k", "0")
     assert (code, out) == (0, "checked 1, passed 1\n")
+    # nine cases are past the limit before a term is read
     code, out, err = run_cli(capsys, "verify", "qlucas", "--m", "2..10", "--n", "0", "--k", "0")
     assert (code, out) == (2, "")
-    assert err == "error: the result is too large (14 coefficients by estimate; the limit is 9)\n"
+    total = f"{9 * cli.CASE:,} words by estimate; the limit is {cli.MAX_WORDS:,}"
+    assert err == f"error: the result is too large ({total})\n"
 
 
 @pytest.mark.parametrize(
@@ -178,20 +202,20 @@ def test_verify_qlucas_modulus_limit(capsys, monkeypatch):
         ["expand", "--n", "1", "--mode", "pochhammer", "--trunc", "100000000"],
         ["verify", "qbt", "--n", "1", "--trunc", "100000000"],
         ["verify", "ncqbt", "--n", "1", "--trunc", "100000000"],
-        ["verify", "freshman", "--m", "182"],
+        ["verify", "freshman", "--m", "400"],
         ["verify", "freshman", "--m", "2..181"],
     ],
     ids=["expand", "pochhammer", "qbt", "ncqbt", "freshman", "freshman-range"],
 )
 def test_series_commands_refuse_a_huge_window_at_once(argv):
     # a window of 10**8 entries died with a MemoryError traceback and exit 1
-    # under a 1.5 GB address-space limit; (x+y)^182 holds 1,004,914
-    # coefficients, and at m = 240 took 14.4 s and 292 MB; the moduli
-    # 2..181 each fit but ran for 66.9 s in all
+    # under a 1.5 GB address-space limit; the packed chain of m = 400 runs
+    # 400 passes over 401 residues of 2,569 words; the moduli 2..181 ran for
+    # 66.9 s in all when each built (x+y)^m
     proc = run_process(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and LIMIT in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -213,35 +237,47 @@ def test_a_series_window_of_one_value_takes_no_pass(argv, out):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
-def _held(n, ks):
-    # the coefficients of the values qbinom(n, k), a zero counting as one
-    return sum(len(qbinom(n, k).coeffs) or 1 for k in ks)
+def _window(n, trunc, chains=1):
+    # |n| passes of each chain over the values of its window, none for one
+    size = trunc if n < 0 else min(trunc, n + 1)
+    return chains * abs(n) * sum(map(_coeffs, [n] * size, range(size))) if size > 1 else 0
 
 
-def _freshman_size(m):
-    # (x+y)^m: sum over k = 0..m of k(m - k) + 1
-    return (m**3 - m) // 6 + m + 1
+def _printed(n, ks):
+    # each coefficient of an expand window is written out
+    return cli.TEXT * sum(_coeffs(n, k) for k in ks)
+
+
+def _swept(ns, trunc, chains):
+    # each entry a case, and each value walked to
+    cases = chains * len(ns) * trunc * cli.CASE
+    return cases + sum(_window(n, trunc, chains) + sum(_walked(n, k) for k in range(trunc)) for n in ns)
+
+
+def _freshman_words(m):
+    # m passes over m + 1 residues of m slots of m + m.bit_length() + 2 bits
+    return m * (m + 1) * -(-m * (m + m.bit_length() + 2) // 64)
 
 
 SERIES_SIZES = [
     (
         ["expand", "--n", "-3", "--mode", "noncommutative-from-zero", "--trunc", "4"],
-        _held(-3, range(4)),
+        4 * cli.CASE + _window(-3, 4) + _printed(-3, range(4)),
     ),
     (
         ["expand", "--n", "-3", "--mode", "noncommutative-from-infinity", "--trunc", "4"],
-        _held(-3, range(-3, -7, -1)),
-    ),
-    (["expand", "--n", "5", "--mode", "pochhammer", "--trunc", "9"], _held(5, range(9))),
-    (
-        ["verify", "qbt", "--n", "-2..3", "--trunc", "5"],
-        sum(_held(n, range(5)) for n in range(-2, 4)),
+        4 * cli.CASE + _window(-3, 4) + _printed(-3, range(-3, -7, -1)),
     ),
     (
-        ["verify", "ncqbt", "--n", "-2..3", "--trunc", "5"],
-        sum(_held(n, range(5)) + _held(n, range(n, n - 5, -1)) for n in range(-2, 4)),
+        ["expand", "--n", "5", "--mode", "pochhammer", "--trunc", "9"],
+        9 * cli.CASE + _window(5, 9) + _printed(5, range(9)),
     ),
-    (["verify", "freshman", "--m", "2..10"], sum(_held(m, range(11)) for m in range(2, 11))),
+    (["verify", "qbt", "--n", "-2..3", "--trunc", "5"], _swept(range(-2, 4), 5, 1)),
+    (["verify", "ncqbt", "--n", "-2..3", "--trunc", "5"], _swept(range(-2, 4), 5, 2)),
+    (
+        ["verify", "freshman", "--m", "2..10"],
+        9 * cli.CASE + sum(map(_freshman_words, range(2, 11))),
+    ),
 ]
 
 
@@ -251,10 +287,10 @@ SERIES_SIZES = [
     ids=["from-zero", "from-infinity", "pochhammer", "qbt", "ncqbt", "freshman"],
 )
 def test_series_size_limit_counts_every_window(capsys, monkeypatch, argv, size):
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", size)
+    monkeypatch.setattr(cli, "MAX_WORDS", size)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "") and out
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", size - 1)
+    monkeypatch.setattr(cli, "MAX_WORDS", size - 1)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: the result is too large") and err.count("\n") == 1
@@ -275,11 +311,11 @@ def test_sweeps_refuse_a_huge_box_at_once(argv):
     # each ran for more than 10 s without its guard: qbinom(4000, 2000) has
     # 4,000,001 coefficients, (34, 17) only 290 but 2,333,606,220 subsets,
     # chu sums 301 products as large as [1200, 300], and the moduli
-    # 2..100000 build Phi_m of about 5e9 coefficients in all
+    # 2..100000 fold 5e9 slots in all
     proc = run_process(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.count("\n") == 1 and "1,000,000" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and LIMIT in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -297,7 +333,7 @@ def test_lucas_and_apery_sweeps_refuse_a_huge_range_at_once(argv):
     proc = run_process(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.count("\n") == 1 and "the limit is 1,000,000" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and LIMIT in proc.stderr
 
 
 def test_chu_with_no_cases_does_no_work():
@@ -373,38 +409,40 @@ def test_a_huge_range_with_nothing_to_count_ends_at_once(argv, out, err):
 
 
 def test_qlucas_command_refuses_a_value_whose_factors_each_fit_at_once():
-    # the 249,501 coefficients of [999, 499] and the 301,031 digits bounding
-    # binom(1000000, 500000) each passed a guard of their own
-    argv = ["qlucas", "--n", "1000000999", "--k", "500000499", "--m", "1000"]
+    # the walk to [200, 100], about 1e6 words, and binom(13000, 6500), of at
+    # most 204 words, each fit, but each of the 10,001 coefficients of their
+    # product is written out at (4 + 204)^2 words and TEXT more
+    argv = ["qlucas", "--n", "13000200", "--k", "6500100", "--m", "1000"]
     proc = run_process(*argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        "error: the result is too large (75,107,535,531 digits by estimate; "
-        "the limit is 1,000,000)\n"
+        "error: the result is too large (434,405,948 words by estimate; "
+        f"the limit is {cli.MAX_WORDS:,})\n"
     )
 
 
 @pytest.mark.parametrize(
     "argv,size",
     [
-        # 289 cases, and binom(n, k) with |n| + |k| <= 16 has at most 5 digits
-        (["verify", "lucas", "--p", "3", "--n", "-8..8", "--k", "-8..8"], 289 + 5),
+        # 289 cases, each computing binomials of one word, |n| + |k| <= 16 bits
+        (["verify", "lucas", "--p", "3", "--n", "-8..8", "--k", "-8..8"], 289 * (cli.CASE + 1)),
         # 10 values of p are counted, 4 of them prime
-        (["verify", "lucas", "--p", "2..11", "--n", "3..5", "--k", "-1..0"], 60 + 2),
-        # (|n| + 1) terms of |n| * 1.5315 + 1 digits each, for n = -2..3
-        (["verify", "apery", "--n", "-2..3"], 12 + 4 + 1 + 4 + 12 + 20),
+        (["verify", "lucas", "--p", "2..11", "--n", "3..5", "--k", "-1..0"], 60 * (cli.CASE + 1)),
+        # 6 + 5 cases; the recurrence to A(3), 3 passes of two words; and
+        # |n| + 5 terms of one word for n = -2..3
+        (["verify", "apery", "--n", "-2..3"], 11 * cli.CASE + 6 + 7 + 6 + 5 + 6 + 7 + 8),
     ],
     ids=["lucas", "lucas-p-range", "apery"],
 )
 def test_lucas_and_apery_size_limit_counts(capsys, monkeypatch, argv, size):
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", size)
+    monkeypatch.setattr(cli, "MAX_WORDS", size)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "") and out
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", size - 1)
+    monkeypatch.setattr(cli, "MAX_WORDS", size - 1)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == (
-        f"error: the result is too large ({size:,} digits by estimate; the limit is {size - 1:,})\n"
+        f"error: the result is too large ({size:,} words by estimate; the limit is {size - 1:,})\n"
     )
 
 
@@ -424,76 +462,114 @@ def test_qlucas_command_refuses_a_modulus_below_two(capsys, m):
 _CHU = [(n, m, k) for n in range(-2, 2) for m in range(-2, 0) for k in range(2)]
 _CHU += [(n, m, k) for n in range(-2, 0) for m in range(-2, 0) for k in range(-2, 0)]
 
+
+def _chu(n, m, k):
+    # each of the |k| + 1 terms a case, the walks to its values, and their
+    # product packed in slots of two words, at their words squared; and the
+    # walk to [n + m, k] and its coefficients, packed
+    js = range(0, k + 1) if k >= 0 else range(-1, k, -1)
+    terms = sum(_walked(n, j) + _walked(m, k - j) + _coeffs(n, j) * _coeffs(m, k - j) * 4 for j in js)
+    return (abs(k) + 1) * cli.CASE + _walked(n + m, k) + _coeffs(n + m, k) + terms
+
+
+def _pascal(n, k):
+    # the value, its neighbours, and for k != 0 the products of 1 - q^k with
+    # [n, k] and of 1 - q^n with [n - 1, k - 1], at their words squared
+    walks = _walked(n, k) + _walked(n - 1, k - 1) + _walked(n - 1, k)
+    crosses = (abs(k) + 1) * _coeffs(n, k) + (abs(n) + 1) * _coeffs(n - 1, k - 1) if k else 0
+    return cli.CASE + walks + crosses
+
+
+_BOX = [(n, k) for n in range(-2, 4) for k in range(-1, 3)]
+
 BOX_SIZES = [
     (
         ["verify", "symmetry", "--n", "-2..3", "--k", "-1..2"],
-        sum(_held(n, range(-1, 3)) for n in range(-2, 4)),
+        24 * cli.CASE + sum(_walked(n, k) for n, k in _BOX),
     ),
     (
+        # 2 x 24 cases of 3 or 4 slots; each value walked, and folded twice;
+        # the right sides walk to [n0, k0] for every digit n0, k0 < m
         ["verify", "qlucas", "--m", "3..4", "--n", "-2..3", "--k", "-1..2"],
-        sum(_held(n, range(-1, 3)) for n in range(-2, 4)),
+        48 * cli.CASE + 24 * (3 + 4)
+        + sum(_walked(n, k) + 2 * _coeffs(n, k) for n, k in _BOX)
+        + sum(_walked(a, b) for m in (3, 4) for a in range(m) for b in range(m)),
     ),
-    # 33 coefficients, 55 subsets
-    (["verify", "subsets", "--n", "5..6", "--k", "2..3"], 10 + 10 + 15 + 20),
+    (
+        # each value; the n + 1 rows of qbinom_pascal, of at most n + k + 2
+        # cells no larger than it; and its |binom(n, k)| subsets of n + 1
+        # words, enumerated twice
+        ["verify", "subsets", "--n", "5..6", "--k", "2..3"],
+        4 * cli.CASE
+        + sum(
+            _walked(n, k) + (n + 1) * (n + k + 2) * (_coeffs(n, k) + 1) + 2 * binom(n, k) * (n + 1)
+            for n in (5, 6) for k in (2, 3)
+        ),
+    ),
     (
         ["verify", "chu", "--n", "-2..1", "--m", "-2..-1", "--k", "-2..1"],
-        sum((abs(k) + 1) * _held(n + m, [k]) for n, m, k in _CHU),
+        sum(_chu(n, m, k) for n, m, k in _CHU),
     ),
-    # [7, 4] has 13 coefficients and binom(1, 1) one digit
-    (["qlucas", "--n", "17", "--k", "14", "--m", "10"], _held(7, [4])),
-    # [1, 1] has one coefficient and binom(20, 10) at most 7 digits
-    (["qlucas", "--n", "41", "--k", "21", "--m", "2"], 7),
+    # one value, [7, 4] walked and its 13 coefficients printed, each scaled
+    # by binom(1, 1) of one word
+    (["qlucas", "--n", "17", "--k", "14", "--m", "10"], cli.CASE + _walked(7, 4) + 1 + 13 * (cli.TEXT + 4)),
+    # [1, 1] = 1 scaled by binom(200, 100), of at most 200 bits, 4 words
+    (["qlucas", "--n", "401", "--k", "201", "--m", "2"], cli.CASE + 1 + 16 + cli.TEXT + 25),
+    (
+        ["verify", "pascal", "--n", "-3..3", "--k", "-2..2"],
+        sum(_pascal(n, k) for n in range(-3, 4) for k in range(-2, 3)),
+    ),
 ]
 
 
 def test_qlucas_command_counts_the_product_it_prints(capsys, monkeypatch):
-    # [7, 4] has 13 coefficients, each scaled by binom(20, 10), of at most 7
-    # digits: 91 digits in all
-    argv = ["qlucas", "--n", "207", "--k", "104", "--m", "10"]
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 91)
+    # [7, 4] has 13 coefficients, each scaled by binom(100, 50), of at most
+    # 100 bits, and written out at (1 + 2)^2 words and TEXT more
+    argv = ["qlucas", "--n", "1007", "--k", "504", "--m", "10"]
+    size = cli.CASE + _walked(7, 4) + 2 * 2 + 13 * (cli.TEXT + 9)
+    monkeypatch.setattr(cli, "MAX_WORDS", size)
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out, err) == (0, f"{qbinom(7, 4) * binom(20, 10)}\n", "")
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 90)
+    assert (code, out, err) == (0, f"{qbinom(7, 4) * binom(100, 50)}\n", "")
+    monkeypatch.setattr(cli, "MAX_WORDS", size - 1)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "error: the result is too large (91 digits by estimate; the limit is 90)\n"
+    assert err == f"error: the result is too large ({size:,} words by estimate; the limit is {size - 1:,})\n"
 
 
 @pytest.mark.parametrize(
     "argv,size",
     BOX_SIZES,
-    ids=["box", "qlucas", "subsets", "chu", "qlucas-poly", "qlucas-int"],
+    ids=["box", "qlucas", "subsets", "chu", "qlucas-poly", "qlucas-int", "pascal"],
 )
 def test_box_size_limit_counts_every_value(capsys, monkeypatch, argv, size):
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", size)
+    monkeypatch.setattr(cli, "MAX_WORDS", size)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "") and out
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", size - 1)
+    monkeypatch.setattr(cli, "MAX_WORDS", size - 1)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: the result is too large") and err.count("\n") == 1
 
 
 def test_subset_count_stops_at_the_first_value_past_the_limit(capsys, monkeypatch):
-    # the running sum over the box is 10, 20, 35, 55
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 34)
+    # 4 cases, then the running sum over the box is 4,562, 5,172, ...: the
+    # cell (5, 2) walks 10 words, its rows 6 * 9 * 8 and its 10 subsets
+    # 2 * 10 * 6, and (5, 3) 10, 6 * 10 * 8 and 2 * 10 * 6
+    monkeypatch.setattr(cli, "MAX_WORDS", 4 * cli.CASE + 1171)
     code, out, err = run_cli(capsys, "verify", "subsets", "--n", "5..6", "--k", "2..3")
     assert (code, out) == (2, "")
-    assert err == "error: the result is too large (35 subsets by estimate; the limit is 34)\n"
+    total = f"{4 * cli.CASE + 1172:,} words by estimate; the limit is {4 * cli.CASE + 1171:,}"
+    assert err == f"error: the result is too large ({total})\n"
 
 
-def test_subset_count_is_the_size_of_binom_on_a_box(monkeypatch):
+def test_subset_count_is_the_size_of_binom_on_a_box():
     # the subsets suite counts comb(top, j) from the reflection of each
-    # (n, k), or 0 off the classical region, without reading binom
+    # (n, k), and no subset off the classical region, without reading binom
     counted = []
-
-    def recording_check_total(sizes, unit):
-        if unit == "subsets":
-            counted.extend(sizes)
-
-    monkeypatch.setattr(cli, "_check_total", recording_check_total)
-    ns = argparse.Namespace(n=(-9, 9), k=(-9, 9))
-    next(cli._suite_subsets(ns))
+    for n in range(-9, 10):
+        for k in range(-9, 10):
+            top, j, size, _ = cli._shape(n, k)
+            counted.append(math.comb(top, j) if size else 0)
     assert counted == [abs(binom(n, k)) for n in range(-9, 10) for k in range(-9, 10)]
     assert 0 in counted and len(set(counted)) > 40
 
@@ -506,13 +582,16 @@ def test_box_yields_the_nested_loop_order():
 
 
 def test_freshman_admits_the_largest_modulus_that_fits(capsys):
-    assert _freshman_size(181) <= cli.MAX_COEFFICIENTS < _freshman_size(182)
-    assert run_cli(capsys, "verify", "freshman", "--m", "181") == (0, "checked 1, passed 1\n", "")
+    assert cli.CASE + _freshman_words(369) <= cli.MAX_WORDS < cli.CASE + _freshman_words(370)
+    assert run_cli(capsys, "verify", "freshman", "--m", "369") == (0, "checked 1, passed 1\n", "")
+    assert run_cli(capsys, "verify", "freshman", "--m", "370")[0] == 2
 
 
 def test_size_limit_sums_the_cells_of_a_table(capsys, monkeypatch):
-    # [-3, -5] has 5 coefficients and [-3, -6] has 7; a --q1 value counts as one
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 5)
+    # [-3, -5] = q^-7 [4, 2] has 5 coefficients and [-3, -6] = q^-9 [5, 2]
+    # has 7; a value is a case, walked, and each coefficient printed
+    eval_size = cli.CASE + (2 * 4 // 4 + 5) + cli.TEXT * 5
+    monkeypatch.setattr(cli, "MAX_WORDS", eval_size)
     assert run_cli(capsys, "eval", "--n", "-3", "--k", "-5")[0] == 0
     assert run_cli(capsys, "table", "--n", "-3..-3", "--k", "-5..-5")[0] == 0
     code, out, err = run_cli(capsys, "table", "--n", "-3..-3", "--k", "-6..-5")
@@ -520,23 +599,60 @@ def test_size_limit_sums_the_cells_of_a_table(capsys, monkeypatch):
     assert err.startswith("error: the result is too large")
     assert run_cli(capsys, "eval", "--n", "4", "--k", "2")[0] == 0  # 5 coefficients
     assert run_cli(capsys, "eval", "--n", "5", "--k", "2")[0] == 2  # 7 coefficients
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 6)
+    # with --q1 a value counts the words of binom(n, k) squared twice, for
+    # math.comb and for its text: one word for each of these
+    monkeypatch.setattr(cli, "MAX_WORDS", 6 * cli.CASE + 6 * 2)
     assert run_cli(capsys, "table", "--n", "5..6", "--k", "-2..0", "--q1")[0] == 0
     assert run_cli(capsys, "table", "--n", "5..6", "--k", "-3..0", "--q1")[0] == 2
-    # with --q1 a value counts as a bound on its digits: 7 for binom(20, 10)
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 7)
-    assert run_cli(capsys, "eval", "--n", "20", "--k", "10", "--q1")[:2] == (0, "184756\n")
-    monkeypatch.setattr(cli, "MAX_COEFFICIENTS", 5)
-    assert run_cli(capsys, "eval", "--n", "20", "--k", "10", "--q1")[0] == 2
+    # binom(200, 100) has at most 200 bits: 4 words
+    monkeypatch.setattr(cli, "MAX_WORDS", cli.CASE + 2 * 4 * 4)
+    assert run_cli(capsys, "eval", "--n", "200", "--k", "100", "--q1")[:2] == (0, f"{binom(200, 100)}\n")
+    monkeypatch.setattr(cli, "MAX_WORDS", cli.CASE + 2 * 4 * 4 - 1)
+    assert run_cli(capsys, "eval", "--n", "200", "--k", "100", "--q1")[0] == 2
 
 
 def test_q1_size_bound_covers_every_value():
     for n in range(-40, 41):
         for k in range(-40, 41):
-            size = cli._value_size(n, k, True)
-            assert size >= len(str(abs(binom(n, k))))
-            # the guard's plain size is the value's coefficient count
-            assert cli._value_size(n, k, False) == max(1, len(qbinom(n, k).coeffs))
+            _, _, size, words = cli._shape(n, k)
+            # the value's coefficient count, and words enough for binom(n, k)
+            assert size == len(qbinom(n, k).coeffs)
+            assert abs(binom(n, k)).bit_length() < 64 * words
+
+
+def test_q1_digit_lower_bound_refuses_no_value_that_fits(int_text_limit):
+    # at the smallest limit, 640 digits, binom(n, k) is refused before it is
+    # computed only if its text is longer, and refused near the diagonal
+    int_text_limit(640)
+    refused = 0
+    for n in range(2000, 2400, 7):
+        for k in range(0, n + 1, 9):
+            try:
+                cli._binom(n, k)
+            except ValueError as exc:
+                assert "PYTHONINTMAXSTRDIGITS" in str(exc)
+                int_text_limit(0)
+                assert len(str(binom(n, k))) > 640, (n, k)
+                int_text_limit(640)
+                refused += 1
+    assert refused > 100
+
+
+def test_eval_q1_past_the_int_text_limit_is_refused_before_binom(capsys, monkeypatch, int_text_limit):
+    # binom(10**6, 5 * 10**5) has 301,027 digits; computing it took 9.1 s
+    # before its text was refused
+    int_text_limit(4300)
+
+    def binom_called(n, k):
+        raise AssertionError("binom was called")
+
+    monkeypatch.setattr(sys.modules["qneg.qbinom"], "binom", binom_called)
+    code, out, err = run_cli(capsys, "eval", "--n", "1000000", "--k", "500000", "--q1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: binom(1000000, 500000) has more than 4,300 digits, the most this "
+        "Python writes out (see PYTHONINTMAXSTRDIGITS)\n"
+    )
 
 
 def test_eval_q1_too_large_exits_two_at_once():
@@ -562,11 +678,11 @@ def test_eval_q1_past_the_int_text_limit_says_so(capsys):
 
 def test_size_limit_is_documented_and_admits_the_readme_table(capsys):
     # README's broken-pipe example prints 859,361 coefficients
-    cli._check_size(range(-40, 41), range(-40, 41), q1=False)
-    for command in ("eval", "table"):
+    assert run_cli(capsys, "table", "--n", "-40..40", "--k", "-40..40")[0] == 0
+    for command in ("eval", "table", "expand"):
         with pytest.raises(SystemExit):
             cli.main([command, "--help"])
-        assert f"{cli.MAX_COEFFICIENTS:,} coefficients" in capsys.readouterr().out
+        assert f"{cli.MAX_WORDS:,} 64-bit words" in capsys.readouterr().out
 
 
 def test_table_malformed_range_is_usage_error(capsys):
@@ -659,6 +775,14 @@ def test_lucas_command_with_a_large_prime_is_quick():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "43758\n", "")
 
 
+def test_lucas_command_refuses_a_huge_argument_at_once(capsys, int_text_limit):
+    # a divmod of a 166,097-bit n for each of its digits base 2
+    int_text_limit(0)
+    code, out, err = run_cli(capsys, "lucas", "--n", "1" + "0" * 50000, "--k", "1", "--p", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the result is too large") and LIMIT in err
+
+
 def test_lucas_command_refuses_a_modulus_past_the_primality_bound(capsys):
     code, out, err = run_cli(capsys, "lucas", "--n", "1", "--k", "1", "--p", str(2**89 - 1))
     assert (code, out) == (2, "")
@@ -717,13 +841,22 @@ def test_apery_far_past_the_int_text_limit_exits_two_at_once(fmt):
 
 def test_apery_without_an_int_text_limit_is_held_to_the_size_limit():
     # with PYTHONINTMAXSTRDIGITS=0 nothing refused A(10**9), and it ran past
-    # 5 s; A(m) < 34^m bounds its digits, as in the apery suite
+    # 5 s; the recurrence runs 10**9 passes over two integers of at most the
+    # 79,500,001 words of 34^(10**9), as in the apery suite
     proc = run_process("apery", "--n", "1000000000", PYTHONINTMAXSTRDIGITS="0")
     assert (proc.returncode, proc.stdout) == (2, "")
+    words = 5_088_000_000 // 64 + 1
     assert proc.stderr == (
-        "error: the result is too large (1,531,500,001 digits by estimate; "
-        "the limit is 1,000,000)\n"
+        f"error: the result is too large ({cli.CASE + 2 * 10**9 * words + words * words:,} words "
+        f"by estimate; the limit is {cli.MAX_WORDS:,})\n"
     )
+
+
+def test_apery_with_no_int_text_limit_refuses_a_runaway_recurrence():
+    # A(50000) took 7.0 s with PYTHONINTMAXSTRDIGITS=0; A(20000) 1.1 s
+    proc = run_process("apery", "--n", "50000", PYTHONINTMAXSTRDIGITS="0")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: the result is too large") and LIMIT in proc.stderr
 
 
 def test_apery_refuses_no_value_that_fits(capsys, int_text_limit):
@@ -824,6 +957,24 @@ def test_verify_pascal_forms_no_dense_factor_for_a_zero_value(capsys):
             tracemalloc.stop()
         assert (code, out, err) == (0, f"checked {count}, passed {count}\n", ""), args
         assert peak < 4_000_000, (args, peak)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n", "-1..-1", "--k", "100000000000..100000000000"],
+        ["--n", "100000000000..100000000000", "--k", "100000000000..100000000000"],
+    ],
+    ids=["neighbour", "cross"],
+)
+def test_verify_pascal_refuses_a_huge_neighbour_or_factor(capsys, monkeypatch, args):
+    # the box value [-1, 10^11] has one coefficient, but its neighbour
+    # [-2, 10^11 - 1] has 10^11, and [10^11, 10^11] = 1 is multiplied by
+    # 1 - q^(10^11): each died with MemoryError, exit 1 and a traceback
+    monkeypatch.setitem(sys.modules, "qneg.qbinom", None)  # the guard reads no value
+    code, out, err = run_cli(capsys, "verify", "pascal", *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the result is too large") and err.count("\n") == 1
 
 
 def test_verify_failure_exit_one(capsys, monkeypatch):
@@ -1030,19 +1181,27 @@ def test_json_line_is_pinned(capsys, argv, line):
 
 
 def test_size_guard_stops_at_the_first_value_past_the_limit(capsys, monkeypatch):
-    # the grid has 1,000,000 cells, within the up-front cell count, but its
-    # values hold about 2.5e11 coefficients: the sum passes the limit within
+    # the grid has 250,000 cells, within the up-front count of its cases,
+    # but its values take about 1e13 words: the sum passes the limit within
     # the first row, so the guard need not size every cell
     calls = []
-    value_size = cli._value_size
+    walk = cli._walk
 
-    def counted(n, k, q1):
+    def counted(n, k):
         calls.append((n, k))
-        return value_size(n, k, q1)
+        return walk(n, k)
 
-    monkeypatch.setattr(cli, "_value_size", counted)
-    code, out, err = run_cli(capsys, "table", "--n", "-999..0", "--k", "0..999")
+    monkeypatch.setattr(cli, "_walk", counted)
+    code, out, err = run_cli(capsys, "table", "--n", "-499..0", "--k", "0..499")
     assert (code, out) == (2, "")
     assert err.startswith("error: the result is too large") and err.count("\n") == 1
-    assert "the limit is 1,000,000" in err
+    assert LIMIT in err
     assert 0 < len(calls) < 100
+
+
+def test_a_refused_table_of_too_many_cells_sizes_no_value(capsys, monkeypatch):
+    # 1,000,000 cases alone pass the limit
+    monkeypatch.setattr(cli, "_walk", None)
+    code, out, err = run_cli(capsys, "table", "--n", "-999..0", "--k", "0..999")
+    assert (code, out) == (2, "")
+    assert err == f"error: the result is too large ({10**6 * cli.CASE:,} words by estimate; {LIMIT}\n"

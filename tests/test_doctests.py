@@ -85,7 +85,7 @@ def readme_size_examples():
     """The examples of README's size table, as (environment, argv) pairs:
     those under "Refused at once", then those under "Runs"."""
     text = README.read_text()
-    table = text[text.index("| Command | What it counts |") :].split("\n\n", 1)[0].splitlines()
+    table = text[text.index("| Request | Refused at once | Runs |") :].split("\n\n", 1)[0].splitlines()
     header = [cell.strip() for cell in table[0].split("|")]
     columns = header.index("Refused at once"), header.index("Runs")
     examples = [], []

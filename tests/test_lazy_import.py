@@ -64,7 +64,7 @@ print(code, sorted(m for m in sys.modules if m.startswith("qneg.")))
 @pytest.mark.parametrize(
     "argv",
     [
-        ["eval", "--n", "1000000000", "--k", "500000000", "--q1"],
+        ["eval", "--n", "1998", "--k", "999"],
         ["table", "--n", "-999..0", "--k", "0..999"],
         ["table", "--n", "0..100000000000000000000", "--k", "0..0"],
         ["expand", "--n", "3", "--mode", "pochhammer", "--trunc", "100000000000000000000"],

@@ -24,22 +24,29 @@ from itertools import accumulate, chain, product
 
 SCHEMA = "qneg/1"
 
-EXPAND_MODES = ("noncommutative-from-zero", "noncommutative-from-infinity", "pochhammer")
+EXPAND_MODES = (
+    "noncommutative-from-zero",
+    "noncommutative-from-infinity",
+    "pochhammer",
+)
 
 # The work model: before any work, every command estimates from degrees and
 # range ends the 64-bit words its arithmetic writes, in four kinds of term:
-#   (a) a classical value [top, j], j <= top - j, walked cold: about
-#       j^2 (top - j) / 4 additions and its j (top - j) + 1 coefficients,
-#       each of at most the words of C(top, j);
+#   (a) a classical value [top, j], j <= top - j, walked cold: the running
+#       sums of its j steps, about j^2 (top - j) / 4 coefficients, and its
+#       j (top - j) + 1 coefficients, each of at most the words of C(top, j);
 #   (b) a chain: its passes times the words of its window;
-#   (c) a big integer from math.comb, a packed product or text: words squared;
+#   (c) a big integer from math.comb or text: words squared; a product of
+#       integers of x <= y words, which CPython multiplies by Karatsuba,
+#       y * x^0.585;
 #   (d) CASE for each case checked, term of a sum built or value printed,
 #       and TEXT for each coefficient printed.
-# Fitted on a 2-core x86-64 machine, CPython 3.11.7: a word of (a) to (c)
-# took 5 to 15 ns, a case 3 to 30 us, a printed coefficient 0.6 to 0.9 us.
-# The limit admits README's 81 x 81 table (6.8e7 words, 0.6 s) and `verify
-# qlucas --m 2..130` (2.1e8, 1.9 s); it refuses `eval --n 1000 --k 500`
-# (5.2e8, 5.4 s).
+# Timed on a 2-core x86-64 machine, CPython 3.11.7, one process run each: a
+# word of (a) to (c) took 5 to 15 ns, a case 3 to 30 us, a printed
+# coefficient 0.6 to 0.9 us.  CASE and TEXT are assumed values inside those
+# ranges, not fitted.  The limit admits README's 81 x 81 table (0.6 s) and
+# `verify qlucas --m 2..130` (1.9 s); it refuses `eval --n 1000 --k 500`
+# (5.4 s).
 MAX_WORDS, CASE, TEXT = 300_000_000, 1_000, 64
 SIZE_NOTE = (
     "A request whose arithmetic, by an estimate made before any work, writes "
@@ -56,7 +63,11 @@ RANGE_FLAGS = ("--n", "--k", "--m", "--p")
 def parse_range(text: str) -> tuple[int, int]:
     """Parse inclusive "lo..hi" (or a single integer) into (lo, hi)."""
     try:
-        lo, hi = map(int, text.split("..", 1) if ".." in text else (text, text))
+        if ".." in text:
+            lo_text, hi_text = text.split("..", 1)
+            lo, hi = int(lo_text), int(hi_text)
+        else:
+            lo = hi = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed range {text!r}, expected lo..hi")
     if lo > hi:
@@ -105,9 +116,17 @@ def _shape(n: int, k: int) -> tuple[int, int, int, int]:
 
 
 def _walk(n: int, k: int) -> int:
-    """Term (a) for qbinom(n, k); 0 for a zero."""
-    _, j, size, words = _shape(n, k)
-    return (j * (size - 1) // 4 + size) * words
+    """Term (a) for qbinom(n, k): step c = 1..j of the cold walk runs its sums
+    over at most c (top - j) / 2 + c + 1 coefficients; 0 for a zero."""
+    top, j, size, words = _shape(n, k)
+    return (j * (j + 1) * (top - j + 2) // 4 + j + size) * words
+
+
+def _packed(x: int, y: int, words: int) -> int:
+    """Term (c) for the product of polynomials of x and y coefficients packed
+    in slots of `words` words (a float power is taken of at most MAX_WORDS)."""
+    x, y = x * words, y * words
+    return max(x, y) * math.ceil(min(x, y, MAX_WORDS) ** 0.585)
 
 
 def _check(work: Iterable[int], cases: int = 0) -> None:
@@ -143,10 +162,12 @@ def _box(ns, half: int, cost: Callable[[int, int], int] = _walk) -> Iterator[tup
 
 def _pascal_cost(n: int, k: int) -> int:
     # the value, its neighbours, and for k != 0 the packed products of
-    # 1 - q^k with [n, k] and of 1 - q^n with [n - 1, k - 1], at (c)
+    # 1 - q^k with [n, k] and of 1 - q^n with [n - 1, k - 1]
     walks = _walk(n, k) + _walk(n - 1, k - 1) + _walk(n - 1, k)
-    crosses = ((k, *_shape(n, k)[2:]), (n, *_shape(n - 1, k - 1)[2:])) if k else ()
-    return walks + sum((abs(e) + 1) * size * words * words for e, size, words in crosses)
+    if not k:
+        return walks
+    crosses = _packed(abs(k) + 1, *_shape(n, k)[2:]), _packed(abs(n) + 1, *_shape(n - 1, k - 1)[2:])
+    return walks + sum(crosses)
 
 
 def _suite_pascal(ns) -> Iterator[Case]:
@@ -255,11 +276,13 @@ def _suite_chu(ns) -> Iterator[Case]:
 
     def cost(n: int, m: int, k: int) -> Iterator[int]:
         # each of the |k| + 1 terms a case, the walks to its values, and
-        # their product packed in slots of the words of both, at (c)
-        yield (abs(k) + 1) * CASE + _walk(n + m, k) + math.prod(_shape(n + m, k)[2:])
+        # their product packed in slots of the words of both, shifted and
+        # added into a sum of the slots of [n + m, k]
+        yield (abs(k) + 1) * CASE + _walk(n + m, k)
+        size = _shape(n + m, k)[2]
         for i in range(0, k + 1) if k >= 0 else range(-1, k, -1):
             (_, _, a, u), (_, _, b, v) = _shape(n, i), _shape(m, k - i)
-            yield _walk(n, i) + _walk(m, k - i) + a * b * (u + v) ** 2
+            yield _walk(n, i) + _walk(m, k - i) + _packed(a, b, u + v) + 2 * size * (u + v)
 
     _check(chain.from_iterable(cost(*t) for t in triples()))
     from .qseries import verify_chu_vandermonde
@@ -330,7 +353,8 @@ def _suite_lucas(ns) -> Iterator[Case]:
     from .congruence import is_prime, lucas_product, verify_lucas
     from .qbinom import binom
 
-    for p in [p for p in p_values if is_prime(p)]:
+    primes = [p for p in p_values if is_prime(p)]
+    for p in primes:
         for n in n_values:
             for k in k_values:
                 ok = verify_lucas(n, k, p)
@@ -376,18 +400,23 @@ def _suite_freshman(ns) -> Iterator[Case]:
 
 
 APERY_CONGRUENCE_CASES = (
-    (5, 1, 1, "beukers"), (5, 1, 5, "beukers"),
-    (5, 1, 1, "coster"), (5, 1, 2, "coster"), (5, 2, 1, "coster"),
-)  # fmt: skip
+    (5, 1, 1, "beukers"),
+    (5, 1, 5, "beukers"),
+    (5, 1, 1, "coster"),
+    (5, 1, 2, "coster"),
+    (5, 2, 1, "coster"),
+)
 
 
 def _suite_apery(ns) -> Iterator[Case]:
     n_values = _span(ns.n, 0, 25)
-    # Apery's recurrence runs once to the largest |n|, two integers a pass;
-    # the sum at -n multiplies out at most |n| + 5 terms of at most A(|n|)
+    # Apery's recurrence runs once to the largest |n|, and twice to at most
+    # A(p^r m) <= A(25) for each congruence case, two integers a pass; the
+    # sum at -n multiplies out at most |n| + 5 terms of at most A(|n|)
     top = max(-n_values[0], n_values[-1])
+    passes = top + 2 * sum(p**r * m for p, r, m, _ in APERY_CONGRUENCE_CASES)
     work = ((abs(n) + 5) * _apery_words(abs(n)) ** 2 for n in n_values)
-    _check(chain([2 * top * _apery_words(top)], work), _cells(n_values) + 5)
+    _check(chain([2 * passes * _apery_words(max(top, 25))], work), _cells(n_values) + 5)
     from .apery import verify_apery_congruence, verify_apery_symmetry
 
     for n in n_values:
@@ -398,11 +427,20 @@ def _suite_apery(ns) -> Iterator[Case]:
 
 
 SUITES: dict[str, Callable[[argparse.Namespace], Iterator[Case]]] = {
-    "pascal": _suite_pascal, "symmetry": _suite_symmetry, "reflection": _suite_reflection,
-    "qinv": _suite_qinv, "degrees": _suite_degrees, "subsets": _suite_subsets, "chu": _suite_chu,
-    "qbt": _suite_qbt, "ncqbt": _suite_ncqbt, "lucas": _suite_lucas, "qlucas": _suite_qlucas,
-    "freshman": _suite_freshman, "apery": _suite_apery,
-}  # fmt: skip
+    "pascal": _suite_pascal,
+    "symmetry": _suite_symmetry,
+    "reflection": _suite_reflection,
+    "qinv": _suite_qinv,
+    "degrees": _suite_degrees,
+    "subsets": _suite_subsets,
+    "chu": _suite_chu,
+    "qbt": _suite_qbt,
+    "ncqbt": _suite_ncqbt,
+    "lucas": _suite_lucas,
+    "qlucas": _suite_qlucas,
+    "freshman": _suite_freshman,
+    "apery": _suite_apery,
+}
 
 
 # -- subcommands --------------------------------------------------------------
@@ -509,7 +547,8 @@ def _cmd_value(ns) -> int:
 
 
 def _cmd_table(ns) -> int:
-    n_values, k_values = range(ns.n[0], ns.n[1] + 1), range(ns.k[0], ns.k[1] + 1)
+    n_values = range(ns.n[0], ns.n[1] + 1)
+    k_values = range(ns.k[0], ns.k[1] + 1)
     rows = list(zip(n_values, _grid(n_values, k_values, ns.q1)))
 
     def lines() -> Iterator[str]:
@@ -517,8 +556,16 @@ def _cmd_table(ns) -> int:
         for n, values in rows:
             yield f"{n}\t" + "\t".join(map(str, values))
 
-    cells = ({"n": n, "k": k, "value": v} for n, values in rows for k, v in zip(k_values, values))
-    _emit(ns, lines, lambda: {"q1": ns.q1, "cells": list(cells)})
+    _emit(
+        ns,
+        lines,
+        lambda: {
+            "q1": ns.q1,
+            "cells": [
+                {"n": n, "k": k, "value": v} for n, values in rows for k, v in zip(k_values, values)
+            ],
+        },
+    )
     return 0
 
 
@@ -527,9 +574,16 @@ def _cmd_expand(ns) -> int:
     # values [n, 0], [n, 1], ..., in that order
     _check_series(range(ns.n, ns.n + 1), ns.trunc, 1, lambda n, k: TEXT * _shape(n, k)[2])
     terms = _series(ns.n, ns.mode, ns.trunc)
-    body = {"n": ns.n, "mode": ns.mode, "truncation": ns.trunc}
-    text = (f"C({k}) = {c}" for k, c in terms)
-    _emit(ns, lambda: text, lambda: {**body, "terms": [{"k": k, "value": c} for k, c in terms]})
+    _emit(
+        ns,
+        lambda: (f"C({k}) = {c}" for k, c in terms),
+        lambda: {
+            "n": ns.n,
+            "mode": ns.mode,
+            "truncation": ns.trunc,
+            "terms": [{"k": k, "value": c} for k, c in terms],
+        },
+    )
     return 0
 
 
@@ -552,8 +606,17 @@ def _cmd_verify(ns) -> int:
             print(f"FAIL {case}", file=sys.stderr)
         yield f"checked {checked}, passed {passed}" + (f", skipped {skipped}" if skipped else "")
 
-    body = {"suite": ns.suite, "checked": checked, "passed": passed, "skipped": skipped}
-    _emit(ns, report, lambda: {**body, "failures": failures})
+    _emit(
+        ns,
+        report,
+        lambda: {
+            "suite": ns.suite,
+            "checked": checked,
+            "passed": passed,
+            "skipped": skipped,
+            "failures": failures,
+        },
+    )
     return 0 if not failures else 1
 
 
@@ -570,28 +633,37 @@ _INT = {"type": int, "required": True}
 _RANGE = {"type": parse_range, "required": True, "metavar": "LO..HI"}
 _Q1 = {"action": "store_true", "help": "evaluate at q = 1"}
 
-_NK = {"--n": _INT, "--k": _INT}
-_MODE = {"choices": EXPAND_MODES, "required": True}
-
 COMMANDS = {
-    "eval": Command("evaluate one coefficient", {**_NK, "--q1": _Q1}, _cmd_value, _eval),
+    "eval": Command(
+        "evaluate one coefficient",
+        {"--n": _INT, "--k": _INT, "--q1": _Q1},
+        _cmd_value,
+        value=_eval,
+    ),
     "table": Command(
         "emit a grid of values", {"--n": _RANGE, "--k": _RANGE, "--q1": _Q1}, _cmd_table
     ),
     "expand": Command(
         "series expansions",
-        {"--n": _INT, "--mode": _MODE, "--trunc": {"type": int, "default": 16}},
+        {
+            "--n": _INT,
+            "--mode": {"choices": EXPAND_MODES, "required": True},
+            "--trunc": {"type": int, "default": 16},
+        },
         _cmd_expand,
     ),
     "lucas": Command(
         "digit-wise binomial residue mod a prime",
-        {**_NK, "--p": _INT},
+        {"--n": _INT, "--k": _INT, "--p": _INT},
         _cmd_value,
-        _lucas,
-        "residue",
+        value=_lucas,
+        key="residue",
     ),
     "qlucas": Command(
-        "q-Lucas right-hand side mod Phi_m", {**_NK, "--m": _INT}, _cmd_value, _qlucas
+        "q-Lucas right-hand side mod Phi_m",
+        {"--n": _INT, "--k": _INT, "--m": _INT},
+        _cmd_value,
+        value=_qlucas,
     ),
     "apery": Command("Apery number A(n)", {"--n": _INT}, _cmd_value, value=_apery),
     "verify": Command(
@@ -609,10 +681,15 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format (default text)"
+        "--format",
+        choices=("text", "json"),
+        default="text",
+        help="output format (default text)",
     )
+
     parser = argparse.ArgumentParser(
-        prog="qneg", description="Exact q-binomial coefficients for all integer arguments."
+        prog="qneg",
+        description="Exact q-binomial coefficients for all integer arguments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, row in COMMANDS.items():

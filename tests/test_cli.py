@@ -158,10 +158,18 @@ def _coeffs(n, k):
 
 
 def _walked(n, k):
-    # the cold walk to a value of one-word coefficients: j^2 (top - j) / 4
-    # additions, and its j (top - j) + 1 coefficients; nothing for a zero
+    # the cold walk to a value of one-word coefficients: step c = 1..j sums
+    # over at most c (top - j) / 2 + c + 1 coefficients, and the value's
+    # j (top - j) + 1 coefficients; nothing for a zero
+    top, j = _pair(n, k)
     size = _coeffs(n, k)
-    return _pair(n, k)[1] * (size - 1) // 4 + size if size else 0
+    return j * (j + 1) * (top - j + 2) // 4 + j + size if size else 0
+
+
+def _karatsuba(x, y):
+    # a product of integers of x and y words, y >= x: y * x^0.585
+    small, large = sorted((x, y))
+    return large * math.ceil(small**0.585)
 
 
 def test_eval_too_large_exits_two_at_once():
@@ -416,7 +424,7 @@ def test_qlucas_command_refuses_a_value_whose_factors_each_fit_at_once():
     proc = run_process(*argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        "error: the result is too large (434,405,948 words by estimate; "
+        "error: the result is too large (434,436,548 words by estimate; "
         f"the limit is {cli.MAX_WORDS:,})\n"
     )
 
@@ -428,9 +436,11 @@ def test_qlucas_command_refuses_a_value_whose_factors_each_fit_at_once():
         (["verify", "lucas", "--p", "3", "--n", "-8..8", "--k", "-8..8"], 289 * (cli.CASE + 1)),
         # 10 values of p are counted, 4 of them prime
         (["verify", "lucas", "--p", "2..11", "--n", "3..5", "--k", "-1..0"], 60 * (cli.CASE + 1)),
-        # 6 + 5 cases; the recurrence to A(3), 3 passes of two words; and
-        # |n| + 5 terms of one word for n = -2..3
-        (["verify", "apery", "--n", "-2..3"], 11 * cli.CASE + 6 + 7 + 6 + 5 + 6 + 7 + 8),
+        # 6 + 5 cases; the recurrence to A(3), and twice to at most A(25)
+        # for each congruence case, whose p^r m sum to 70: 3 + 2 * 70 passes
+        # of two integers of two words; and |n| + 5 terms of one word for
+        # n = -2..3
+        (["verify", "apery", "--n", "-2..3"], 11 * cli.CASE + 2 * 143 * 2 + 7 + 6 + 5 + 6 + 7 + 8),
     ],
     ids=["lucas", "lucas-p-range", "apery"],
 )
@@ -465,18 +475,24 @@ _CHU += [(n, m, k) for n in range(-2, 0) for m in range(-2, 0) for k in range(-2
 
 def _chu(n, m, k):
     # each of the |k| + 1 terms a case, the walks to its values, and their
-    # product packed in slots of two words, at their words squared; and the
-    # walk to [n + m, k] and its coefficients, packed
+    # product packed in slots of two words, shifted and added into a sum of
+    # the slots of [n + m, k]; and the walk to [n + m, k]
     js = range(0, k + 1) if k >= 0 else range(-1, k, -1)
-    terms = sum(_walked(n, j) + _walked(m, k - j) + _coeffs(n, j) * _coeffs(m, k - j) * 4 for j in js)
-    return (abs(k) + 1) * cli.CASE + _walked(n + m, k) + _coeffs(n + m, k) + terms
+    terms = sum(
+        _walked(n, j) + _walked(m, k - j)
+        + _karatsuba(2 * _coeffs(n, j), 2 * _coeffs(m, k - j)) + 4 * _coeffs(n + m, k)
+        for j in js
+    )  # fmt: skip
+    return (abs(k) + 1) * cli.CASE + _walked(n + m, k) + terms
 
 
 def _pascal(n, k):
     # the value, its neighbours, and for k != 0 the products of 1 - q^k with
-    # [n, k] and of 1 - q^n with [n - 1, k - 1], at their words squared
+    # [n, k] and of 1 - q^n with [n - 1, k - 1], packed in one-word slots
     walks = _walked(n, k) + _walked(n - 1, k - 1) + _walked(n - 1, k)
-    crosses = (abs(k) + 1) * _coeffs(n, k) + (abs(n) + 1) * _coeffs(n - 1, k - 1) if k else 0
+    crosses = (
+        _karatsuba(abs(k) + 1, _coeffs(n, k)) + _karatsuba(abs(n) + 1, _coeffs(n - 1, k - 1)) if k else 0
+    )
     return cli.CASE + walks + crosses
 
 
@@ -552,26 +568,41 @@ def test_box_size_limit_counts_every_value(capsys, monkeypatch, argv, size):
 
 
 def test_subset_count_stops_at_the_first_value_past_the_limit(capsys, monkeypatch):
-    # 4 cases, then the running sum over the box is 4,562, 5,172, ...: the
-    # cell (5, 2) walks 10 words, its rows 6 * 9 * 8 and its 10 subsets
-    # 2 * 10 * 6, and (5, 3) 10, 6 * 10 * 8 and 2 * 10 * 6
-    monkeypatch.setattr(cli, "MAX_WORDS", 4 * cli.CASE + 1171)
+    # 4 cases, then the running sum over the box is 4,568, 5,184, ...: the
+    # cell (5, 2) walks 16 words, its rows 6 * 9 * 8 and its 10 subsets
+    # 2 * 10 * 6, and (5, 3) 16, 6 * 10 * 8 and 2 * 10 * 6
+    monkeypatch.setattr(cli, "MAX_WORDS", 4 * cli.CASE + 1183)
     code, out, err = run_cli(capsys, "verify", "subsets", "--n", "5..6", "--k", "2..3")
     assert (code, out) == (2, "")
-    total = f"{4 * cli.CASE + 1172:,} words by estimate; the limit is {4 * cli.CASE + 1171:,}"
+    total = f"{4 * cli.CASE + 1184:,} words by estimate; the limit is {4 * cli.CASE + 1183:,}"
     assert err == f"error: the result is too large ({total})\n"
 
 
-def test_subset_count_is_the_size_of_binom_on_a_box():
-    # the subsets suite counts comb(top, j) from the reflection of each
-    # (n, k), and no subset off the classical region, without reading binom
-    counted = []
-    for n in range(-9, 10):
-        for k in range(-9, 10):
-            top, j, size, _ = cli._shape(n, k)
-            counted.append(math.comb(top, j) if size else 0)
-    assert counted == [abs(binom(n, k)) for n in range(-9, 10) for k in range(-9, 10)]
-    assert 0 in counted and len(set(counted)) > 40
+def test_subset_count_is_the_size_of_binom_on_a_box(monkeypatch):
+    # the subsets suite charges each (n, k) the C(top, j) subsets of its
+    # reflection, of top + 1 words and enumerated twice, and no subset off
+    # the classical region, without reading binom: the terms its guard
+    # checks, less the same terms with math.comb at 0
+    box = [(n, k) for n in range(-9, 10) for k in range(-9, 10)]
+    expected = [2 * abs(binom(n, k)) * (_pair(n, k)[0] + 1) for n, k in box]
+
+    def checked_terms():
+        terms = []
+
+        def record(work, cases=0):
+            terms.extend(work)
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(cli, "_check", record)
+        with pytest.raises(ValueError, match="recorded"):
+            next(cli._suite_subsets(argparse.Namespace(n=(-9, 9), k=(-9, 9))))
+        return terms
+
+    charged = checked_terms()
+    monkeypatch.setattr(math, "comb", lambda top, j: 0)
+    subsets = [a - b for a, b in zip(charged, checked_terms())]
+    assert len(charged) == len(box) and subsets == expected
+    assert 0 in subsets and len(set(subsets)) > 40
 
 
 def test_box_yields_the_nested_loop_order():
@@ -590,7 +621,7 @@ def test_freshman_admits_the_largest_modulus_that_fits(capsys):
 def test_size_limit_sums_the_cells_of_a_table(capsys, monkeypatch):
     # [-3, -5] = q^-7 [4, 2] has 5 coefficients and [-3, -6] = q^-9 [5, 2]
     # has 7; a value is a case, walked, and each coefficient printed
-    eval_size = cli.CASE + (2 * 4 // 4 + 5) + cli.TEXT * 5
+    eval_size = cli.CASE + (2 * 3 * 4 // 4 + 2 + 5) + cli.TEXT * 5
     monkeypatch.setattr(cli, "MAX_WORDS", eval_size)
     assert run_cli(capsys, "eval", "--n", "-3", "--k", "-5")[0] == 0
     assert run_cli(capsys, "table", "--n", "-3..-3", "--k", "-5..-5")[0] == 0

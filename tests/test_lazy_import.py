@@ -64,6 +64,8 @@ print(code, sorted(m for m in sys.modules if m.startswith("qneg.")))
 @pytest.mark.parametrize(
     "argv",
     [
+        ["eval", "--n", "1000000000", "--k", "500000000", "--q1"],
+        ["eval", "--n", "1000000", "--k", "500000", "--q1"],
         ["eval", "--n", "1998", "--k", "999"],
         ["table", "--n", "-999..0", "--k", "0..999"],
         ["table", "--n", "0..100000000000000000000", "--k", "0..0"],
@@ -81,16 +83,21 @@ print(code, sorted(m for m in sys.modules if m.startswith("qneg.")))
         ["qlucas", "--n", "1000000999", "--k", "500000499", "--m", "1000"],
     ],
     ids=[
-        "eval", "table", "table-huge", "expand-huge", "qlucas", "symmetry", "subsets", "chu",
-        "lucas", "apery", "qlucas-moduli", "lucas-huge", "freshman-huge", "qlucas-factors",
+        "eval", "eval-q1", "eval-walk", "table", "table-huge", "expand-huge", "qlucas",
+        "symmetry", "subsets", "chu", "lucas", "apery", "qlucas-moduli", "lucas-huge",
+        "freshman-huge", "qlucas-factors",
     ],  # fmt: skip
 )
 def test_a_refused_request_loads_no_library_module(argv):
     # the size guards read every size from the reflections, not from qbinom,
-    # and each suite and handler imports the library only after its guards
+    # and each suite and handler imports the library only after its guards;
+    # a --q1 value is refused first by a lower bound on its digits
     proc = python_s("-c", REFUSAL_PROBE.format(argv=argv))
     assert (proc.returncode, proc.stdout) == (0, "2 ['qneg.cli']\n")
-    assert proc.stderr.startswith("error: the result is too large")
+    if "--q1" in argv:
+        assert proc.stderr.startswith("error: binom(") and "PYTHONINTMAXSTRDIGITS" in proc.stderr
+    else:
+        assert proc.stderr.startswith("error: the result is too large")
 
 
 ORDERS = [

@@ -1,52 +1,75 @@
 """The size guard's work model against the work that admitted requests do.
 
-Each request runs through `cli.main` in-process, from a cold qbinom cache,
-with wrappers that count the 64-bit words written by the kernel's running
-sums, by the entries of every factor chain, by the folds of each q-Lucas
-case and by the subsets enumerated.  The count must stay within the estimate
-that the guard checked.  Nothing here reads a clock.
+Each request runs through `cli.main` in-process, from cold qbinom and Apery
+caches, with wrappers that count the 64-bit words written by the kernel's
+running sums, by the entries of every factor chain and the sums they enter, by the folds of each
+q-Lucas case, by the subsets enumerated, by the integer binomials of `--q1`
+and the lucas sweep, and by the terms and recurrence steps of the Apery
+numbers.  A product of packed integers of x <= y words counts the
+y * x^0.585 word products of CPython's Karatsuba multiplication and the
+words it writes.  The count must stay within the word terms of the
+estimate that the guard checked, its per-case charge left out.  Nothing
+here reads a clock.
 """
 
 import contextlib
 import importlib
 import io
+import math
 
+import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import qneg.cli as cli
 from qneg.laurent import LaurentPoly
 
-QBINOM, QSERIES, LAURENT, HYBRIDSET = (
-    importlib.import_module(f"qneg.{name}") for name in ("qbinom", "qseries", "laurent", "hybridset")
+QBINOM, QSERIES, LAURENT, HYBRIDSET, APERY = (
+    importlib.import_module(f"qneg.{name}")
+    for name in ("qbinom", "qseries", "laurent", "hybridset", "apery")
 )
 
 
 def _words(x):
-    """The words of a Laurent polynomial, a list of ints or one int."""
+    """The words of a Laurent polynomial, a list of ints or one int (none
+    for 0, which CPython does not allocate)."""
     if isinstance(x, LaurentPoly):
         x = x.coeffs
     if isinstance(x, int):
-        return abs(x).bit_length() // 64 + 1
+        return (abs(x).bit_length() + 63) // 64
     return len(x) * (max(map(abs, x), default=0).bit_length() // 64 + 1)
+
+
+def _karatsuba(x, y):
+    small, large = sorted((x, y))
+    return large * math.ceil(small**0.585)
 
 
 @contextlib.contextmanager
 def counted_work():
     """Yield a list whose one entry counts the words written while the
-    wrappers are installed, and the estimates that `cli._check` saw."""
-    work, estimates = [0], []
+    wrappers are installed, and the (terms, cases) that `cli._check` saw."""
+    work, checks = [0], []
     saved = [
         (module, name, getattr(module, name))
         for module, name in [
             (QBINOM, "_divide_by_one_minus_q_power"),
             (QSERIES, "_factor_chain"),
             (LAURENT, "_fold"),
+            (LAURENT, "_pack"),
+            (LAURENT, "_kronecker_mul"),
+            (QSERIES, "_products_sum_equals"),
             (HYBRIDSET, "_sigmas"),
+            (QBINOM, "binom"),
+            (APERY, "_term"),
+            (APERY, "apery"),
             (cli, "_check"),
         ]
     ]
-    divide, chain, fold, sigmas, check = (original for _, _, original in saved)
+    divide, chain, fold, pack, kronecker, products_sum, sigmas, binom, term, apery, check = (
+        original for *_, original in saved
+    )
+    packed = []  # the words of each integer packed since the last product
 
     def counting_divide(prod, i):
         divide(prod, i)
@@ -54,8 +77,10 @@ def counted_work():
 
     def counting_chain(n, truncation, exponent, one=QSERIES.ONE, shift=LaurentPoly.shift):
         def counting_shift(c, e):
-            work[0] += _words(c)
-            return shift(c, e)
+            # the shifted entry, and the sum or difference it enters
+            shifted = shift(c, e)
+            work[0] += 2 * _words(shifted)
+            return shifted
 
         return chain(n, truncation, exponent, one, counting_shift)
 
@@ -63,21 +88,66 @@ def counted_work():
         work[0] += _words(a) + size
         return fold(a, m, shift, size)
 
+    def counting_pack(coeffs, width):
+        value = pack(coeffs, width)
+        packed.append(_words(value))
+        return value
+
+    def counting_kronecker(a, b):
+        packed.clear()
+        out = kronecker(a, b)
+        work[0] += _karatsuba(*packed) + sum(packed)
+        return out
+
+    def counting_products_sum(terms, c):
+        # each product, shifted and added into a sum as long as c packed
+        packed.clear()
+        equal = products_sum(terms, c)
+        *factors, total = packed
+        for x, y in zip(factors[::2], factors[1::2]):
+            work[0] += _karatsuba(x, y) + x + y + 2 * total
+        return equal
+
     def counting_sigmas(n, k):
+        # each combination, of k elements or of n - k extras, and its sum
+        size = k if k >= 0 else n - k
         for sigma in sigmas(n, k):
-            work[0] += 1
+            work[0] += size + 1
             yield sigma
+
+    def counting_binom(n, k):
+        value = binom(n, k)
+        work[0] += _words(value)
+        return value
+
+    def counting_term(n, k):
+        value = term(n, k)
+        work[0] += _words(value)
+        return value
+
+    def counting_apery(n):
+        # each step of the recurrence from the largest held index writes
+        # two integers of at most the words of the result
+        top = max(n, -n - 1)
+        start = max(m for m in APERY._HELD if m <= top)
+        value = apery(n)
+        work[0] += 2 * (top - start) * _words(value)
+        return value
 
     def recording_check(terms, cases=0):
         terms = list(terms)
-        estimates.append(cases * cli.CASE + sum(terms))
+        checks.append((terms, cases))
         check(terms, cases)
 
-    wrappers = [counting_divide, counting_chain, counting_fold, counting_sigmas, recording_check]
+    wrappers = [
+        counting_divide, counting_chain, counting_fold, counting_pack, counting_kronecker,
+        counting_products_sum, counting_sigmas, counting_binom, counting_term, counting_apery,
+        recording_check,
+    ]  # fmt: skip
     for (module, name, _), wrapper in zip(saved, wrappers):
         setattr(module, name, wrapper)
     try:
-        yield work, estimates
+        yield work, checks
     finally:
         for module, name, original in saved:
             setattr(module, name, original)
@@ -90,11 +160,19 @@ def _range(lo, width):
 _small = st.integers(0, 3)
 REQUESTS = st.one_of(
     st.builds(
-        lambda n, k: ["eval", "--n", str(n), "--k", str(k)], st.integers(-400, 400), st.integers(-400, 400)
+        lambda n, k, q1: ["eval", "--n", str(n), "--k", str(k)] + q1,
+        st.integers(-400, 400), st.integers(-400, 400), st.sampled_from([[], ["--q1"]]),
+    ),
+    st.builds(
+        lambda n, k: ["eval", "--n", str(n), "--k", str(k)], st.integers(0, 400), st.integers(0, 40)
+    ),
+    st.builds(
+        lambda n, w, k, h, q1: ["table", "--n", _range(n, w), "--k", _range(k, h)] + q1,
+        st.integers(-60, 60), _small, st.integers(-60, 60), _small, st.sampled_from([[], ["--q1"]]),
     ),
     st.builds(
         lambda suite, n, w, k, h: ["verify", suite, "--n", _range(n, w), "--k", _range(k, h)],
-        st.sampled_from(["pascal", "symmetry", "reflection", "qinv", "degrees"]),
+        st.sampled_from(["pascal", "symmetry", "reflection", "qinv", "degrees", "lucas"]),
         st.integers(-60, 60), _small, st.integers(-60, 60), _small,
     ),
     st.builds(
@@ -102,8 +180,16 @@ REQUESTS = st.one_of(
         st.integers(-8, 10), _small, st.integers(-8, 10), _small,
     ),
     st.builds(
+        lambda n, m, k, h: ["verify", "chu", "--n", _range(n, 1), "--m", _range(m, 1), "--k", _range(k, h)],
+        st.integers(-40, 40), st.integers(-40, 40), st.integers(-12, 12), _small,
+    ),
+    st.builds(
         lambda suite, n, w, t: ["verify", suite, "--n", _range(n, w), "--trunc", str(t)],
         st.sampled_from(["qbt", "ncqbt"]), st.integers(-150, 150), _small, st.integers(1, 8),
+    ),
+    st.builds(
+        lambda n, mode, t: ["expand", "--n", str(n), "--mode", mode, "--trunc", str(t)],
+        st.integers(-150, 150), st.sampled_from(cli.EXPAND_MODES), st.integers(1, 12),
     ),
     st.builds(
         lambda m, w: ["verify", "freshman", "--m", _range(m, w)], st.integers(2, 80), _small
@@ -112,16 +198,49 @@ REQUESTS = st.one_of(
         lambda m, w, n, k: ["verify", "qlucas", "--m", _range(m, w), "--n", _range(n, 3), "--k", _range(k, 3)],
         st.integers(2, 40), _small, st.integers(-30, 30), st.integers(-30, 30),
     ),
+    st.builds(lambda n: ["apery", "--n", str(n)], st.integers(-3000, 3000)),
+    st.builds(lambda n, w: ["verify", "apery", "--n", _range(n, w)], st.integers(-60, 60), _small),
 )  # fmt: skip
 
 
-@seed(20180207)
-@settings(max_examples=300, deadline=None)
-@given(REQUESTS)
-def test_admitted_work_stays_within_the_estimate(argv):
+def run_counted(argv):
+    """The exit status, the words counted, and the word terms checked."""
     QBINOM.qbinom.cache_clear()
-    with counted_work() as (work, estimates), contextlib.redirect_stdout(io.StringIO()):
+    APERY._PAIRS.clear()
+    APERY._PAIRS[0] = (1, 1)
+    APERY._HELD[:] = [0]
+    with counted_work() as (work, checks), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
+    assert len(checks) == 1
+    return code, work[0], sum(checks[0][0])
+
+
+@seed(20180207)
+@settings(max_examples=400, deadline=None)
+@given(REQUESTS)
+def test_admitted_work_stays_within_the_word_terms(argv):
+    code, work, terms = run_counted(argv)
     assume(code == 0)  # a refused request does no work to count
-    assert len(estimates) == 1
-    assert work[0] <= estimates[0], (argv, work[0], estimates[0])
+    assert work <= terms, (argv, work, terms)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "verify symmetry --n 200 --k 100",
+        "verify pascal --n 2000 --k 3",
+        "verify chu --n 60 --m 60 --k 30",
+        "verify subsets --n 16 --k 8",
+        "verify qbt --n -300 --trunc 10",
+        "expand --n 120 --mode noncommutative-from-infinity --trunc 60",
+        "verify freshman --m 150",
+        "verify qlucas --m 40..44 --n 0..12 --k 0..12",
+        "apery --n 2500",
+        "verify apery --n -100..100",
+    ],
+)
+def test_the_term_that_dominates_a_request_bounds_its_work(args):
+    # each request spends nearly all its work in one term; it must be
+    # admitted, and the words counted must stay within the word terms
+    code, work, terms = run_counted(args.split())
+    assert code == 0 and work <= terms, (work, terms)

@@ -34,7 +34,9 @@ EXPAND_MODES = (
 # range ends the 64-bit words its arithmetic writes, in four kinds of term:
 #   (a) a classical value [top, j], j <= top - j, walked cold: the running
 #       sums of its j steps, about j^2 (top - j) / 4 coefficients, and its
-#       j (top - j) + 1 coefficients, each of at most the words of C(top, j);
+#       j (top - j) + 1 coefficients, each of at most the words of C(top, j)
+#       and OBJECT more for its int object and slot, held, as is each of the
+#       joint span of a sum or difference of values;
 #   (b) a chain: its passes times the words of its window;
 #   (c) a big integer from math.comb or text: words squared; a product of
 #       integers of x <= y words, which CPython multiplies by Karatsuba,
@@ -47,7 +49,7 @@ EXPAND_MODES = (
 # ranges, not fitted.  The limit admits README's 81 x 81 table (0.6 s) and
 # `verify qlucas --m 2..130` (1.9 s); it refuses `eval --n 1000 --k 500`
 # (5.4 s).
-MAX_WORDS, CASE, TEXT = 300_000_000, 1_000, 64
+MAX_WORDS, CASE, TEXT, OBJECT = 300_000_000, 1_000, 64, 4
 SIZE_NOTE = (
     "A request whose arithmetic, by an estimate made before any work, writes "
     f"more than {MAX_WORDS:,} 64-bit words is refused with exit status 2."
@@ -117,9 +119,9 @@ def _shape(n: int, k: int) -> tuple[int, int, int, int]:
 
 def _walk(n: int, k: int) -> int:
     """Term (a) for qbinom(n, k): step c = 1..j of the cold walk runs its sums
-    over at most c (top - j) / 2 + c + 1 coefficients; 0 for a zero."""
+    over at most c (top - j) / 2 + c + 1 coefficients, then the value is held."""
     top, j, size, words = _shape(n, k)
-    return (j * (j + 1) * (top - j + 2) // 4 + j + size) * words
+    return (j * (j + 1) * (top - j + 2) // 4 + j + size) * words + OBJECT * size
 
 
 def _packed(x: int, y: int, words: int) -> int:
@@ -161,37 +163,29 @@ def _box(ns, half: int, cost: Callable[[int, int], int] = _walk) -> Iterator[tup
 
 
 def _pascal_cost(n: int, k: int) -> int:
-    # the value, its neighbours, and for k != 0 the packed products of
-    # 1 - q^k with [n, k] and of 1 - q^n with [n - 1, k - 1]
-    walks = _walk(n, k) + _walk(n - 1, k - 1) + _walk(n - 1, k)
-    if not k:
-        return walks
-    crosses = _packed(abs(k) + 1, *_shape(n, k)[2:]), _packed(abs(n) + 1, *_shape(n - 1, k - 1)[2:])
-    return walks + sum(crosses)
+    # the value and its neighbours x = [n - 1, k - 1] and y = [n - 1, k]
+    # walked; the sums x + q^k y and q^(n - k) x + y, each over the largest
+    # of the three spans, and the differences [n, k] - q^k [n, k] and x - q^n x
+    (_, _, s, u), (_, _, a, v), (_, _, b, _) = _shape(n, k), _shape(n - 1, k - 1), _shape(n - 1, k)
+    sums = 2 * max(s, a, b) if a and b else 0
+    spans = (sums + (s and s + abs(k))) * (u + OBJECT) + (a and a + abs(n)) * (v + OBJECT)
+    return _walk(n, k) + _walk(n - 1, k - 1) + _walk(n - 1, k) + spans
 
 
 def _suite_pascal(ns) -> Iterator[Case]:
-    # q-Pascal, its alternate form, and the absorption identity.
+    # q-Pascal, its alternate form, and absorption, (1 - q^k)[n, k] =
+    # (1 - q^n)[n - 1, k - 1], checked as differences of shifts
     box = _box(ns, 12, _pascal_cost)
-    from .laurent import ONE, LaurentPoly
     from .qbinom import qbinom
-
-    def cross(x, e):
-        # (1 - q^e) * x; 1 - q^e holds |e| + 1 coefficients, so it is
-        # formed only to multiply a nonzero x
-        return (ONE - LaurentPoly.q_power(e)) * x if x.coeffs else x
 
     for n, k in box:
         case = f"pascal n={n} k={k}"
         if (n, k) == (0, 0):
             yield case, "skip"
             continue
-        lhs = qbinom(n, k)
-        ok = lhs == qbinom(n - 1, k - 1) + qbinom(n - 1, k).shift(k)
-        ok = ok and lhs == qbinom(n - 1, k - 1).shift(n - k) + qbinom(n - 1, k)
-        if ok and k != 0:
-            ok = cross(lhs, k) == cross(qbinom(n - 1, k - 1), n)
-        yield case, ok
+        lhs, x, y = qbinom(n, k), qbinom(n - 1, k - 1), qbinom(n - 1, k)
+        ok = lhs == x + y.shift(k) and lhs == x.shift(n - k) + y
+        yield case, ok and lhs - lhs.shift(k) == x - x.shift(n)
 
 
 def _suite_symmetry(ns) -> Iterator[Case]:
@@ -261,6 +255,7 @@ def _suite_subsets(ns) -> Iterator[Case]:
 
 def _suite_chu(ns) -> Iterator[Case]:
     nspan, mspan, kspan = _span(ns.n, -5, 5), _span(ns.m, -5, 5), _span(ns.k, -6, 6)
+    held: dict[tuple[int, int], tuple[int, int]] = {}  # (size, words) by value read
 
     def triples() -> Iterator[tuple[int, int, int]]:
         # k >= 0 for every n and m, then k < 0 for n, m < 0; a branch that
@@ -275,14 +270,18 @@ def _suite_chu(ns) -> Iterator[Case]:
             yield from ((n, m, k) for n in negative_n for m in negative_m for k in ks)
 
     def cost(n: int, m: int, k: int) -> Iterator[int]:
-        # each of the |k| + 1 terms a case, the walks to its values, and
-        # their product packed in slots of the words of both, shifted and
-        # added into a sum of the slots of [n + m, k]
-        yield (abs(k) + 1) * CASE + _walk(n + m, k)
-        size = _shape(n + m, k)[2]
-        for i in range(0, k + 1) if k >= 0 else range(-1, k, -1):
-            (_, _, a, u), (_, _, b, v) = _shape(n, i), _shape(m, k - i)
-            yield _walk(n, i) + _walk(m, k - i) + _packed(a, b, u + v) + 2 * size * (u + v)
+        # each term a case, the walk to each value no earlier triple read
+        # (qbinom holds it), and each product packed in slots of the words of
+        # both, shifted and added into a sum of the slots of [n + m, k]
+        yield (abs(k) + 1) * CASE
+        js = range(0, k + 1) if k >= 0 else range(-1, k, -1)
+        values = [(n + m, k), *((n, i) for i in js), *((m, k - i) for i in js)]
+        new = {value: _shape(*value)[2:] for value in values if value not in held}
+        held.update(new)
+        size, work = held[n + m, k][0], sum(_walk(*value) for value in new)
+        for (a, u), (b, v) in ((held[n, i], held[m, k - i]) for i in js):
+            work += _packed(a, b, u + v) + 2 * size * (u + v)
+        yield work
 
     _check(chain.from_iterable(cost(*t) for t in triples()))
     from .qseries import verify_chu_vandermonde

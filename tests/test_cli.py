@@ -160,10 +160,11 @@ def _coeffs(n, k):
 def _walked(n, k):
     # the cold walk to a value of one-word coefficients: step c = 1..j sums
     # over at most c (top - j) / 2 + c + 1 coefficients, and the value's
-    # j (top - j) + 1 coefficients; nothing for a zero
+    # j (top - j) + 1 coefficients, each held at OBJECT words more; nothing
+    # for a zero
     top, j = _pair(n, k)
     size = _coeffs(n, k)
-    return j * (j + 1) * (top - j + 2) // 4 + j + size if size else 0
+    return j * (j + 1) * (top - j + 2) // 4 + j + size * (1 + cli.OBJECT) if size else 0
 
 
 def _karatsuba(x, y):
@@ -193,7 +194,7 @@ def test_verify_qlucas_refuses_a_huge_modulus_at_once():
 def test_verify_qlucas_modulus_limit(capsys, monkeypatch):
     # one case, its m = 9 slots, the value [0, 0] walked and folded, and
     # the right side [0, 0] walked
-    monkeypatch.setattr(cli, "MAX_WORDS", cli.CASE + 9 + 2 + 1)
+    monkeypatch.setattr(cli, "MAX_WORDS", cli.CASE + 9 + _walked(0, 0) + 1 + _walked(0, 0))
     code, out, _ = run_cli(capsys, "verify", "qlucas", "--m", "9", "--n", "0", "--k", "0")
     assert (code, out) == (0, "checked 1, passed 1\n")
     # nine cases are past the limit before a term is read
@@ -424,7 +425,7 @@ def test_qlucas_command_refuses_a_value_whose_factors_each_fit_at_once():
     proc = run_process(*argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        "error: the result is too large (434,436,548 words by estimate; "
+        "error: the result is too large (434,476,552 words by estimate; "
         f"the limit is {cli.MAX_WORDS:,})\n"
     )
 
@@ -473,27 +474,37 @@ _CHU = [(n, m, k) for n in range(-2, 2) for m in range(-2, 0) for k in range(2)]
 _CHU += [(n, m, k) for n in range(-2, 0) for m in range(-2, 0) for k in range(-2, 0)]
 
 
-def _chu(n, m, k):
-    # each of the |k| + 1 terms a case, the walks to its values, and their
-    # product packed in slots of two words, shifted and added into a sum of
-    # the slots of [n + m, k]; and the walk to [n + m, k]
-    js = range(0, k + 1) if k >= 0 else range(-1, k, -1)
-    terms = sum(
-        _walked(n, j) + _walked(m, k - j)
-        + _karatsuba(2 * _coeffs(n, j), 2 * _coeffs(m, k - j)) + 4 * _coeffs(n + m, k)
-        for j in js
-    )  # fmt: skip
-    return (abs(k) + 1) * cli.CASE + _walked(n + m, k) + terms
+def _chu(triples):
+    # each of the |k| + 1 terms of a triple a case, and its product packed in
+    # slots of two words, shifted and added into a sum of the slots of
+    # [n + m, k]; and the walk to each value of every triple once
+    values, total = set(), 0
+    for n, m, k in triples:
+        js = range(0, k + 1) if k >= 0 else range(-1, k, -1)
+        values |= {(n + m, k), *((n, j) for j in js), *((m, k - j) for j in js)}
+        total += (abs(k) + 1) * cli.CASE + sum(
+            _karatsuba(2 * _coeffs(n, j), 2 * _coeffs(m, k - j)) + 4 * _coeffs(n + m, k) for j in js
+        )
+    return total + sum(_walked(*value) for value in values)
+
+
+def _joint(a, b):
+    # the coefficients that a sum or difference of a and b writes, if both
+    # are nonzero: their joint span
+    if not (a.coeffs and b.coeffs):
+        return 0
+    return max(a.val + len(a.coeffs), b.val + len(b.coeffs)) - min(a.val, b.val)
 
 
 def _pascal(n, k):
-    # the value, its neighbours, and for k != 0 the products of 1 - q^k with
-    # [n, k] and of 1 - q^n with [n - 1, k - 1], packed in one-word slots
+    # the value and its neighbours x and y walked, and the two q-Pascal sums
+    # and the differences of [n, k] and x with their shifts by q^k and q^n,
+    # each coefficient of one word and OBJECT more
+    lhs, x, y = qbinom(n, k), qbinom(n - 1, k - 1), qbinom(n - 1, k)
+    sums = _joint(x, y.shift(k)) + _joint(x.shift(n - k), y)
+    differences = _joint(lhs, lhs.shift(k)) + _joint(x, x.shift(n))
     walks = _walked(n, k) + _walked(n - 1, k - 1) + _walked(n - 1, k)
-    crosses = (
-        _karatsuba(abs(k) + 1, _coeffs(n, k)) + _karatsuba(abs(n) + 1, _coeffs(n - 1, k - 1)) if k else 0
-    )
-    return cli.CASE + walks + crosses
+    return cli.CASE + walks + (1 + cli.OBJECT) * (sums + differences)
 
 
 _BOX = [(n, k) for n in range(-2, 4) for k in range(-1, 3)]
@@ -524,13 +535,16 @@ BOX_SIZES = [
     ),
     (
         ["verify", "chu", "--n", "-2..1", "--m", "-2..-1", "--k", "-2..1"],
-        sum(_chu(n, m, k) for n, m, k in _CHU),
+        _chu(_CHU),
     ),
     # one value, [7, 4] walked and its 13 coefficients printed, each scaled
     # by binom(1, 1) of one word
     (["qlucas", "--n", "17", "--k", "14", "--m", "10"], cli.CASE + _walked(7, 4) + 1 + 13 * (cli.TEXT + 4)),
     # [1, 1] = 1 scaled by binom(200, 100), of at most 200 bits, 4 words
-    (["qlucas", "--n", "401", "--k", "201", "--m", "2"], cli.CASE + 1 + 16 + cli.TEXT + 25),
+    (
+        ["qlucas", "--n", "401", "--k", "201", "--m", "2"],
+        cli.CASE + _walked(1, 1) + 16 + cli.TEXT + 25,
+    ),
     (
         ["verify", "pascal", "--n", "-3..3", "--k", "-2..2"],
         sum(_pascal(n, k) for n in range(-3, 4) for k in range(-2, 3)),
@@ -568,13 +582,14 @@ def test_box_size_limit_counts_every_value(capsys, monkeypatch, argv, size):
 
 
 def test_subset_count_stops_at_the_first_value_past_the_limit(capsys, monkeypatch):
-    # 4 cases, then the running sum over the box is 4,568, 5,184, ...: the
-    # cell (5, 2) walks 16 words, its rows 6 * 9 * 8 and its 10 subsets
-    # 2 * 10 * 6, and (5, 3) 16, 6 * 10 * 8 and 2 * 10 * 6
-    monkeypatch.setattr(cli, "MAX_WORDS", 4 * cli.CASE + 1183)
+    # 4 cases, then the running sum over the box is 4,596, 5,240, ...: the
+    # cell (5, 2) walks 16 words and holds 7 coefficients at 4 more, its
+    # rows 6 * 9 * 8 and its 10 subsets 2 * 10 * 6, and (5, 3) 16 + 28,
+    # 6 * 10 * 8 and 2 * 10 * 6
+    monkeypatch.setattr(cli, "MAX_WORDS", 4 * cli.CASE + 1239)
     code, out, err = run_cli(capsys, "verify", "subsets", "--n", "5..6", "--k", "2..3")
     assert (code, out) == (2, "")
-    total = f"{4 * cli.CASE + 1184:,} words by estimate; the limit is {4 * cli.CASE + 1183:,}"
+    total = f"{4 * cli.CASE + 1240:,} words by estimate; the limit is {4 * cli.CASE + 1239:,}"
     assert err == f"error: the result is too large ({total})\n"
 
 
@@ -620,8 +635,8 @@ def test_freshman_admits_the_largest_modulus_that_fits(capsys):
 
 def test_size_limit_sums_the_cells_of_a_table(capsys, monkeypatch):
     # [-3, -5] = q^-7 [4, 2] has 5 coefficients and [-3, -6] = q^-9 [5, 2]
-    # has 7; a value is a case, walked, and each coefficient printed
-    eval_size = cli.CASE + (2 * 3 * 4 // 4 + 2 + 5) + cli.TEXT * 5
+    # has 7; a value is a case, walked and held, and each coefficient printed
+    eval_size = cli.CASE + (2 * 3 * 4 // 4 + 2 + 5) + cli.OBJECT * 5 + cli.TEXT * 5
     monkeypatch.setattr(cli, "MAX_WORDS", eval_size)
     assert run_cli(capsys, "eval", "--n", "-3", "--k", "-5")[0] == 0
     assert run_cli(capsys, "table", "--n", "-3..-3", "--k", "-5..-5")[0] == 0
@@ -1000,12 +1015,27 @@ def test_verify_pascal_forms_no_dense_factor_for_a_zero_value(capsys):
 )
 def test_verify_pascal_refuses_a_huge_neighbour_or_factor(capsys, monkeypatch, args):
     # the box value [-1, 10^11] has one coefficient, but its neighbour
-    # [-2, 10^11 - 1] has 10^11, and [10^11, 10^11] = 1 is multiplied by
-    # 1 - q^(10^11): each died with MemoryError, exit 1 and a traceback
+    # [-2, 10^11 - 1] has 10^11, and [10^11, 10^11] = 1 less its shift by
+    # q^(10^11) spans 10^11 + 1: each died with MemoryError, exit 1 and a
+    # traceback, when absorption multiplied by 1 - q^k and 1 - q^n
     monkeypatch.setitem(sys.modules, "qneg.qbinom", None)  # the guard reads no value
     code, out, err = run_cli(capsys, "verify", "pascal", *args)
     assert (code, out) == (2, "")
     assert err.startswith("error: the result is too large") and err.count("\n") == 1
+
+
+def test_no_sweep_forms_a_polynomial_product(capsys, monkeypatch):
+    # every suite at its defaults, and pascal on values of 97,501
+    # coefficients, whose absorption check once multiplied them by 1 - q^k
+    # and 1 - q^n; chu compares packed integers
+    def refuse(a, b):
+        raise AssertionError("a polynomial product was formed")
+
+    monkeypatch.setattr(sys.modules["qneg.laurent"], "_kronecker_mul", refuse)
+    runs = [["verify", suite] for suite in cli.SUITES]
+    for argv in runs + [["verify", "pascal", "--n", "2000", "--k", "50"]]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and "checked 0," not in out, argv
 
 
 def test_verify_failure_exit_one(capsys, monkeypatch):

@@ -2,20 +2,23 @@
 
 Each request runs through `cli.main` in-process, from cold qbinom and Apery
 caches, with wrappers that count the 64-bit words written by the kernel's
-running sums, by the entries of every factor chain and the sums they enter, by the folds of each
-q-Lucas case, by the subsets enumerated, by the integer binomials of `--q1`
-and the lucas sweep, and by the terms and recurrence steps of the Apery
-numbers.  A product of packed integers of x <= y words counts the
+running sums, by the entries of every factor chain and the sums they enter,
+by every other sum or difference of Laurent polynomials, by the folds of
+each q-Lucas case, by the subsets enumerated, by the integer binomials of
+`--q1` and the lucas sweep, and by the terms and recurrence steps of the
+Apery numbers.  A product of packed integers of x <= y words counts the
 y * x^0.585 word products of CPython's Karatsuba multiplication and the
 words it writes.  The count must stay within the word terms of the
 estimate that the guard checked, its per-case charge left out.  Nothing
-here reads a clock.
+here reads a clock.  The memory a request holds at its peak, which
+tracemalloc reads, must also stay within those terms at 8 bytes a word.
 """
 
 import contextlib
 import importlib
 import io
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -58,6 +61,7 @@ def counted_work():
             (LAURENT, "_fold"),
             (LAURENT, "_pack"),
             (LAURENT, "_kronecker_mul"),
+            (LaurentPoly, "_merge"),
             (QSERIES, "_products_sum_equals"),
             (HYBRIDSET, "_sigmas"),
             (QBINOM, "binom"),
@@ -66,10 +70,11 @@ def counted_work():
             (cli, "_check"),
         ]
     ]
-    divide, chain, fold, pack, kronecker, products_sum, sigmas, binom, term, apery, check = (
+    divide, chain, fold, pack, kronecker, merge, products_sum, sigmas, binom, term, apery, check = (
         original for *_, original in saved
     )
     packed = []  # the words of each integer packed since the last product
+    chaining = []  # nonempty while a factor chain, which counts its own sums, runs
 
     def counting_divide(prod, i):
         divide(prod, i)
@@ -82,7 +87,11 @@ def counted_work():
             work[0] += 2 * _words(shifted)
             return shifted
 
-        return chain(n, truncation, exponent, one, counting_shift)
+        chaining.append(n)
+        try:
+            return chain(n, truncation, exponent, one, counting_shift)
+        finally:
+            chaining.pop()
 
     def counting_fold(a, m, shift, size):
         work[0] += _words(a) + size
@@ -97,6 +106,15 @@ def counted_work():
         packed.clear()
         out = kronecker(a, b)
         work[0] += _karatsuba(*packed) + sum(packed)
+        return out
+
+    def counting_merge(a, b, op):
+        # the slots of the joint span of a sum or difference of nonzero
+        # polynomials, and the words of the result
+        out = merge(a, b, op)
+        if not chaining and isinstance(b, LaurentPoly) and a.coeffs and b.coeffs:
+            lo, hi = min(a.val, b.val), max(a.val + len(a.coeffs), b.val + len(b.coeffs))
+            work[0] += hi - lo + _words(out)
         return out
 
     def counting_products_sum(terms, c):
@@ -141,8 +159,8 @@ def counted_work():
 
     wrappers = [
         counting_divide, counting_chain, counting_fold, counting_pack, counting_kronecker,
-        counting_products_sum, counting_sigmas, counting_binom, counting_term, counting_apery,
-        recording_check,
+        counting_merge, counting_products_sum, counting_sigmas, counting_binom, counting_term,
+        counting_apery, recording_check,
     ]  # fmt: skip
     for (module, name, _), wrapper in zip(saved, wrappers):
         setattr(module, name, wrapper)
@@ -229,6 +247,8 @@ def test_admitted_work_stays_within_the_word_terms(argv):
     [
         "verify symmetry --n 200 --k 100",
         "verify pascal --n 2000 --k 3",
+        "verify pascal --n 100000 --k 3",
+        "verify symmetry --n 1000000 --k 3",
         "verify chu --n 60 --m 60 --k 30",
         "verify subsets --n 16 --k 8",
         "verify qbt --n -300 --trunc 10",
@@ -244,3 +264,26 @@ def test_the_term_that_dominates_a_request_bounds_its_work(args):
     # admitted, and the words counted must stay within the word terms
     code, work, terms = run_counted(args.split())
     assert code == 0 and work <= terms, (work, terms)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "verify qinv --n 5000000 --k 1",
+        "verify symmetry --n 100000 --k 3",
+        "verify degrees --n 5000 --k 10",
+        "eval --n 160 --k 80",
+        "verify pascal --n -15..15 --k -15..15",
+    ],
+)
+def test_peak_memory_stays_within_the_word_terms(args):
+    # a held coefficient is an int object and a slot, about OBJECT words,
+    # which a thin value's one-word coefficients did not cover: the first
+    # request peaked at 1.33 times its word terms without that charge
+    tracemalloc.start()
+    try:
+        code, _, terms = run_counted(args.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak <= 8 * terms, (peak, terms)
